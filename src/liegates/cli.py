@@ -30,19 +30,17 @@ from .errors import BranchCutWarning, LieGatesError, NotMemberError
 from . import generators as gen_mod
 from .compiler import CompileConfig, compile as compile_target, compile_report, evaluate
 from .generators import GeneratorSet, pauli, relation_report, tau, torus_T, weyl_pair
+from . import lieclosure
 from .lieclosure import build_family, closure, dimension_table, spin_subgroup_check
 from .linalg import frob_norm, random_anti_hermitian, random_unitary, expm_antiherm, logm_unitary
 from .symalg import span_dimension
 
-CLOSURE_FAMILIES = (
-    "clifford_full",
-    "clifford_plus_u",
-    "clifford_two_local",
-    "torus_splits",
-    "torus_two_local",
-)
+CLOSURE_FAMILIES = tuple(lieclosure._BUILDERS)
 
 GEN_FAMILIES = ("pauli", "weyl", "tau", "torus_full") + CLOSURE_FAMILIES
+
+# relation_report is defined for the named families, not for "custom" sets
+RELATION_FAMILIES = tuple(f for f in GEN_FAMILIES if f in gen_mod.FAMILIES)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -308,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_gens)
 
     p = sub.add_parser("relations", help="check a family's defining relations")
-    _add_common(p, ("pauli", "weyl", "tau", "clifford_full", "torus_full",
-                    "clifford_two_local", "torus_two_local"))
+    _add_common(p, RELATION_FAMILIES)
     p.set_defaults(fn=_cmd_relations)
 
     p = sub.add_parser("closure", help="commutator closure of a family")

@@ -16,10 +16,6 @@ class Defaults:
     hermitian_tol: float = 1e-9
     anti_hermitian_tol: float = 1e-9
 
-    # cyclic Jacobi eigensolver
-    jacobi_conv: float = 1e-13      # off-diagonal Frobenius mass, relative
-    jacobi_max_sweeps: int = 60
-
     # principal logarithm branch handling
     branch_warn_margin: float = 1e-6
 
@@ -36,7 +32,6 @@ class Defaults:
     # compiler
     m_sweep: tuple = (1, 2, 4, 8, 16, 32, 64)
     tau_clip: float = math.pi
-    merge_product_tol: float = 1e-12
     refine_max_iter: int = 60
 
 

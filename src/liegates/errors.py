@@ -30,7 +30,7 @@ class UnknownGeneratorError(LieGatesError, KeyError):
 
 
 class ConvergenceError(LieGatesError, RuntimeError):
-    """An iterative kernel failed to converge within its sweep budget."""
+    """An iterative kernel (such as the LAPACK eigensolver) failed to converge."""
 
 
 class DepthExhaustedError(LieGatesError, RuntimeError):

@@ -17,7 +17,6 @@ the frame.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -264,8 +263,10 @@ def dimension_table(
 ) -> list[dict]:
     """Closure dimensions per family against the predicted formulas.
 
-    Each row reports the computed dimension, the prediction, an exact-match
-    flag and whether the closure spans the full traceless algebra.
+    Each row reports the computed dimension, the prediction, a match flag
+    and whether the closure spans the full traceless algebra.  A u(N)
+    prediction matches a closure that spans su(N): commutators are
+    traceless, so the closure plus the centre i*I is the u(N) count.
     """
     rows = []
     cases: list[tuple[str, int, int]] = []
@@ -277,9 +278,9 @@ def dimension_table(
     for label, n, l in cases:
         if families and label not in families:
             continue
-        start = time.perf_counter()
         basis = closure(build_family(label, n, l), tol=tol)
         predicted = predicted_dimension(label, n, l)
+        match = basis.dim == predicted or (basis.spans_su and basis.dim + 1 == predicted)
         rows.append(
             {
                 "family": label,
@@ -287,9 +288,8 @@ def dimension_table(
                 "l": l,
                 "dim": basis.dim,
                 "predicted": predicted,
-                "match": basis.dim == predicted,
+                "match": match,
                 "spans_su": basis.spans_su,
-                "seconds": round(time.perf_counter() - start, 6),
             }
         )
     return rows

@@ -1,7 +1,8 @@
 """Dense complex matrix kernel.
 
-Tensor products, brackets, the Frobenius pairing, a self-contained complex
-Jacobi eigensolver and the matrix exponential / principal logarithm pair
+Tensor products, brackets, the Frobenius pairing, a Hermitian eigensolver
+(LAPACK ``eigh`` through numpy, with eigenvectors put into a canonical
+phase and order) and the matrix exponential / principal logarithm pair
 used for unitary synthesis.  All functions are pure: inputs are never
 mutated and there is no shared state.
 """
@@ -110,7 +111,7 @@ def frob_inner(a, b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# eigendecomposition: cyclic complex Jacobi
+# eigendecomposition
 # ---------------------------------------------------------------------------
 
 def _eigvec_sort_key(column: np.ndarray):
@@ -130,7 +131,7 @@ def _canonical_columns(w: np.ndarray) -> np.ndarray:
 
 
 def herm_eig(h, tol: float | None = None) -> tuple[np.ndarray, Matrix]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a Hermitian matrix by LAPACK (numpy ``eigh``).
 
     Returns (eigenvalues, eigenvectors) with eigenvalues descending and
     deterministic tie-breaking on the eigenvector columns, so that
@@ -139,41 +140,12 @@ def herm_eig(h, tol: float | None = None) -> tuple[np.ndarray, Matrix]:
     m = as_matrix(h)
     if not is_hermitian(m, tol=tol):
         raise MatrixPropertyError("herm_eig requires a Hermitian matrix")
-    n = m.shape[0]
-    a = (m + dagger(m)) / 2.0
-    v = np.eye(n, dtype=complex)
-    scale = frob_norm(a)
-    if scale == 0.0 or n == 1:
-        lam = np.real(np.diag(a)).copy()
-        return lam, v
-
-    for _ in range(DEFAULTS.jacobi_max_sweeps):
-        off_diag = a - np.diag(np.diag(a))
-        if frob_norm(off_diag) <= DEFAULTS.jacobi_conv * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                phi = math.atan2(apq.imag, apq.real)
-                theta = 0.5 * math.atan2(2.0 * abs(apq), float(a[q, q].real - a[p, p].real))
-                c = math.cos(theta)
-                s = math.sin(theta) * complex(math.cos(phi), math.sin(phi))
-                rot = np.array([[c, s], [-np.conj(s), c]], dtype=complex)
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                a[[p, q], :] = rot.conj().T @ a[[p, q], :]
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                v[:, [p, q]] = v[:, [p, q]] @ rot
-    else:
-        raise ConvergenceError("Jacobi sweeps did not converge")
-
-    lam = np.real(np.diag(a))
+    try:
+        lam, v = np.linalg.eigh((m + dagger(m)) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"herm_eig: {exc}") from None
     v = _canonical_columns(v)
-    order = sorted(range(n), key=lambda j: (-lam[j], _eigvec_sort_key(v[:, j])))
+    order = sorted(range(m.shape[0]), key=lambda j: (-lam[j], _eigvec_sort_key(v[:, j])))
     return lam[order].copy(), v[:, order].copy()
 
 

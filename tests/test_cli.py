@@ -76,6 +76,14 @@ def test_table_subcommand(capsys):
     assert data["all_match"]
 
 
+def test_table_all_match_default_families(capsys):
+    code, out, _ = run_json(capsys, ["table", "--max-n", "2"])
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["rows"]) == 9
+    assert data["all_match"]
+
+
 def test_verify_self(capsys):
     code, out, _ = run_json(capsys, ["verify", "--self", "--seed", "0"])
     assert code == 0
@@ -120,6 +128,19 @@ def test_not_member_exits_1(capsys, tmp_path):
     assert json.loads(err)["error"]["type"] == "not_member"
 
 
+def test_eigensolver_failure_exits_1(capsys, monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code, _, err = run_json(
+        capsys,
+        ["compile", "--family", "clifford_two_local", "--n", "2", "--target", "cnot"],
+    )
+    assert code == 1
+    assert json.loads(err)["error"]["type"] == "numerical"
+
+
 def test_out_file(capsys, tmp_path):
     path = tmp_path / "out.json"
     code, out, _ = run_json(
@@ -153,7 +174,10 @@ def test_closure_include_basis(capsys):
 
 
 def test_byte_identical_reruns(capsys):
-    argv = ["closure", "--family", "torus_splits", "--n", "1", "--l", "3"]
-    _, out1, _ = run_json(capsys, argv)
-    _, out2, _ = run_json(capsys, argv)
-    assert out1 == out2
+    for argv in (
+        ["closure", "--family", "torus_splits", "--n", "1", "--l", "3"],
+        ["table", "--max-n", "1", "--families", "clifford_full"],
+    ):
+        _, out1, _ = run_json(capsys, argv)
+        _, out2, _ = run_json(capsys, argv)
+        assert out1 == out2

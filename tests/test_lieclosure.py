@@ -229,12 +229,16 @@ def test_dimension_table_shape_and_honesty():
     by_key = {(r["family"], r["n"], r["l"]): r for r in rows}
     assert by_key[("clifford_full", 2, 2)]["dim"] == 10
     assert by_key[("clifford_full", 2, 2)]["match"]
-    # traceless closures land one short of the published u(N) counts
+    # traceless closures land one short of the published u(N) counts and
+    # match them as su(N) plus the centre
     row = by_key[("clifford_plus_u", 2, 2)]
-    assert row["dim"] == 15 and row["predicted"] == 16 and not row["match"]
+    assert row["dim"] == 15 and row["predicted"] == 16 and row["match"]
     assert row["spans_su"]
     row = by_key[("torus_splits", 1, 3)]
-    assert row["dim"] == 8 and row["predicted"] == 9 and not row["match"]
+    assert row["dim"] == 8 and row["predicted"] == 9 and row["match"]
+    assert row["spans_su"]
+    assert all(r["match"] for r in rows)
+    assert all("seconds" not in r for r in rows)
 
 
 @pytest.mark.parametrize("n,expected", [(1, 3), (2, 10), (3, 21)])

@@ -10,6 +10,7 @@ from liegates.errors import (
     DimensionMismatchError,
     MatrixPropertyError,
 )
+from liegates.generators import clifford_gammas
 from liegates.linalg import (
     anticommutator,
     commutator,
@@ -168,6 +169,21 @@ def test_herm_eig_dense_moderate_dimension():
     lam, w = herm_eig(h)
     assert frob_norm(h - (w * lam) @ w.conj().T) <= 1e-10 * frob_norm(h)
     assert np.allclose(np.sort(lam), np.sort(np.linalg.eigvalsh(h)), atol=1e-9)
+
+
+def test_herm_eig_degenerate_spectrum():
+    # -i G0 for three gamma pairs: eigenvalues +1 and -1, each four-fold
+    h = -1j * clifford_gammas(3).by_id("G0").matrix
+    lam, w = herm_eig(h)
+    assert np.all(np.diff(lam) <= 0)
+    assert np.allclose(lam, [1.0] * 4 + [-1.0] * 4, atol=1e-12)
+    assert frob_norm(h - (w * lam) @ w.conj().T) <= 1e-12
+    assert np.max(np.abs(w.conj().T @ w - np.eye(8))) <= 1e-12
+    for col in w.T:
+        pivot = col[np.flatnonzero(np.abs(col) > 1e-8)[0]]
+        assert pivot.imag == 0.0 and pivot.real > 0.0
+    lam2, w2 = herm_eig(h)
+    assert np.array_equal(lam, lam2) and np.array_equal(w, w2)
 
 
 def test_herm_eig_rejects_non_hermitian():
