@@ -16,6 +16,14 @@ driving the error to the numerical floor whenever the iteration contracts.
 All reported errors use the global-phase-invariant distance; the trace
 part of the logarithm (a pure global phase) is projected out before the
 coordinate solve.
+
+Words are built and evaluated on arrays.  Each basis element's word is
+cached on the basis as a template per sign of its coordinate (leaf
+generators, signs and the chain of scale divisions and square roots), so
+a coordinate's angles take one pass over its recipe tree.  `evaluate`
+takes a word 256 gates at a time: all gates of one generator come from one
+stacked product with its cached eigenbasis, the chunk is reduced by
+pairwise products, and the chunk products are multiplied left to right.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,6 +95,10 @@ class GateSequence:
 # gate evaluation
 # ---------------------------------------------------------------------------
 
+# gates stacked at once by evaluate; at N = 16 the stack takes 1 MB
+_CHUNK = 256
+
+
 def _generator_eig(gens: GeneratorSet, gen_id: str):
     """Cached eigendecomposition of -i A for generator A (A anti-Hermitian)."""
     cached = gens._eig_cache.get(gen_id)
@@ -111,12 +125,68 @@ def gate_matrix(gens: GeneratorSet, gen_id: str, tau: float) -> Matrix:
     return (w * np.exp(1j * lam * tau)) @ dagger(w)
 
 
+class _EigTable(NamedTuple):
+    """Eigenpairs and wrap periods of every generator of a set, by index."""
+    index: dict[str, int]
+    ids: np.ndarray       # generator id per index (object array)
+    lam: np.ndarray       # (G, N) eigenvalues of -i A
+    w: np.ndarray         # (G, N, N) eigenvectors
+    wh: np.ndarray        # (G, N, N) their adjoints
+    period: np.ndarray    # (G,) wrap period, inf where angles do not wrap
+
+
+def _eig_table(gens: GeneratorSet) -> _EigTable:
+    table = gens._eig_table
+    if table is None:
+        ids = gens.ids()
+        eigs = [_generator_eig(gens, gen_id) for gen_id in ids]
+        w = np.stack([e[1] for e in eigs])
+        table = _EigTable(
+            index={gen_id: k for k, gen_id in enumerate(ids)},
+            ids=np.array(ids, dtype=object),
+            lam=np.stack([e[0] for e in eigs]),
+            w=w,
+            wh=w.conj().transpose(0, 2, 1).copy(),
+            period=np.array([math.inf if e[2] is None else e[2] for e in eigs]),
+        )
+        gens._eig_table = table
+    return table
+
+
+def _chunk_product(table: _EigTable, chunk) -> Matrix:
+    """Product of at most _CHUNK gates, first leftmost."""
+    ids, taus = zip(*chunk)
+    try:
+        gen = np.fromiter(map(table.index.__getitem__, ids), dtype=np.intp, count=len(ids))
+    except KeyError as exc:
+        raise UnknownGeneratorError(exc.args[0]) from None
+    tau = np.array(taus, dtype=float)
+    n = table.lam.shape[1]
+    gates = np.empty((len(gen), n, n), dtype=complex)
+    for g in np.flatnonzero(np.bincount(gen)):
+        sel = gen == g
+        phases = np.exp(1j * (tau[sel][:, None] * table.lam[g]))
+        # one (count * N, N) @ (N, N) product builds them all
+        scaled = table.w[g] * phases[:, None, :]
+        gates[sel] = (scaled.reshape(-1, n) @ table.wh[g]).reshape(-1, n, n)
+    eye = np.eye(n, dtype=complex)[None]
+    while len(gates) > 1:
+        if len(gates) % 2:
+            gates = np.concatenate((gates, eye))
+        gates = gates[0::2] @ gates[1::2]
+    return gates[0]
+
+
 def evaluate(seq, gens: GeneratorSet) -> Matrix:
-    """Ordered product of the sequence gates, first item leftmost."""
+    """Ordered product of the sequence gates, first item leftmost.
+
+    Evaluated in chunks of _CHUNK gates, each reduced by pairwise products.
+    """
     items = seq.items if isinstance(seq, GateSequence) else seq
     out = np.eye(gens.dim, dtype=complex)
-    for gen_id, tau in items:
-        out = out @ gate_matrix(gens, gen_id, float(tau))
+    rest = iter(items)
+    while chunk := list(islice(rest, _CHUNK)):
+        out = out @ _chunk_product(_eig_table(gens), chunk)
     return out
 
 
@@ -136,53 +206,118 @@ def merge_adjacent(items: list[tuple[str, float]]) -> list[tuple[str, float]]:
 # recipe realisation
 # ---------------------------------------------------------------------------
 
-def _realize(basis: LieBasis, idx: int, theta: float,
-             out: list[tuple[str, float]]) -> None:
-    if abs(theta) < 1e-15:
-        return
-    rec = basis.recipes[idx]
-    if rec.kind == "leaf":
-        out.append((rec.gen_id, theta / rec.coeff))
-        return
-    left, right, u = rec.left, rec.right, theta / rec.coeff
-    if u < 0:
-        left, right, u = rec.right, rec.left, -u
-    t = math.sqrt(u)
-    _realize(basis, left, t, out)
-    _realize(basis, right, t, out)
-    _realize(basis, left, -t, out)
-    _realize(basis, right, -t, out)
+class _WordTemplate(NamedTuple):
+    """Group-commutator word of one basis element for angles of one sign.
 
-
-def _wrap_and_clip(items: list[tuple[str, float]], gens: GeneratorSet,
-                   clip: float) -> list[tuple[str, float]]:
-    """Reduce angles by the generator's period and split oversized ones.
-
-    Both moves leave the evaluated product unchanged.
+    The recipe tree is unfolded into nodes, each after its parent.  For a
+    coordinate theta a node's magnitude is |theta| at the root and
+    sqrt(magnitude / scale) of its parent below it, and each word entry is
+    its leaf node's magnitude over the leaf's scale, with a fixed sign.
     """
-    out: list[tuple[str, float]] = []
-    for gen_id, tau in items:
-        _, _, period = _generator_eig(gens, gen_id)
-        if period is not None:
-            tau = math.remainder(tau, period)
-        if abs(tau) < 1e-15:
-            continue
-        if abs(tau) > clip:
-            parts = math.ceil(abs(tau) / clip)
-            out.extend([(gen_id, tau / parts)] * parts)
-        else:
-            out.append((gen_id, tau))
-    return out
+    parent: tuple[int, ...]   # parent node, -1 at the root
+    scale: tuple[float, ...]  # |coeff| of each node's recipe
+    node: np.ndarray          # leaf node of each word entry
+    gen: np.ndarray           # generator of each entry, by basis position
+    sign: np.ndarray          # +1 or -1 per entry
+
+    def angles(self, theta: float) -> np.ndarray:
+        """Angles of the word realising theta times the element."""
+        mag = [abs(theta)]
+        for p in self.parent[1:]:
+            mag.append(math.sqrt(mag[p] / self.scale[p]))
+        return self.sign * np.array([m / c for m, c in zip(mag, self.scale)])[self.node]
+
+
+def _word_template(basis: LieBasis, idx: int, negative: bool) -> _WordTemplate:
+    key = (idx, negative)
+    cached = basis._templates.get(key)
+    if cached is not None:
+        return cached
+    position = {gen_id: k for k, gen_id in enumerate(basis.generator_matrices)}
+    parent: list[int] = []
+    scale: list[float] = []
+    children: dict[int, tuple[int, int]] = {}
+
+    def unfold(i: int, up: int) -> int:
+        k = len(parent)
+        rec = basis.recipes[i]
+        parent.append(up)
+        scale.append(abs(rec.coeff))
+        if rec.kind == "comm":
+            children[k] = (unfold(rec.left, k), unfold(rec.right, k))
+        return k
+
+    node: list[int] = []
+    gen: list[int] = []
+    sign: list[float] = []
+
+    def walk(i: int, k: int, s: float) -> None:
+        # s is the sign of the angle at node k; the sign of angle / coeff
+        # picks the commutator's order, as exp(tP) exp(tQ) exp(-tP) exp(-tQ)
+        # realises t^2 [P, Q]
+        rec = basis.recipes[i]
+        s = math.copysign(1.0, rec.coeff) * s
+        if rec.kind == "leaf":
+            node.append(k)
+            gen.append(position[rec.gen_id])
+            sign.append(s)
+            return
+        (li, lk), (ri, rk) = (rec.left, children[k][0]), (rec.right, children[k][1])
+        if s < 0:
+            (li, lk), (ri, rk) = (ri, rk), (li, lk)
+        for child_sign in (1.0, -1.0):
+            walk(li, lk, child_sign)
+            walk(ri, rk, child_sign)
+
+    unfold(idx, -1)
+    walk(idx, 0, -1.0 if negative else 1.0)
+    template = _WordTemplate(
+        tuple(parent), tuple(scale), np.array(node, dtype=np.intp),
+        np.array(gen, dtype=np.intp), np.array(sign),
+    )
+    basis._templates[key] = template
+    return template
 
 
 def _slice_items(coords: np.ndarray, basis: LieBasis, slices: int,
                  gens: GeneratorSet, cfg: CompileConfig) -> list[tuple[str, float]]:
-    items: list[tuple[str, float]] = []
+    """One slice's word: each coordinate's template word, wrapped and clipped.
+
+    Angles are reduced by their generator's period and oversized ones are
+    split into equal parts; both moves leave the evaluated product unchanged.
+    """
+    table = _eig_table(gens)
+    gen_ids = list(basis.generator_matrices)
+    rows = np.array([table.index.get(gen_id, -1) for gen_id in gen_ids], dtype=np.intp)
+    gen_parts, tau_parts = [], []
     for j, c in enumerate(coords):
-        if abs(c) < 1e-14:
+        theta = float(c) / slices
+        # angles under 1e-15 are dropped; a commutator's scale |[b_i, b_j]|
+        # is at most 2, so below the root every magnitude is at least
+        # sqrt(1e-15 / 2) and only the root can fall under the cut
+        if abs(c) < 1e-14 or abs(theta) < 1e-15:
             continue
-        _realize(basis, j, float(c) / slices, items)
-    return _wrap_and_clip(items, gens, cfg.tau_clip)
+        template = _word_template(basis, j, theta < 0)
+        gen_parts.append(template.gen)
+        tau_parts.append(template.angles(theta))
+    if not gen_parts:
+        return []
+    gen = np.concatenate(gen_parts)
+    tau = np.concatenate(tau_parts)
+    row = rows[gen]
+    if row.min() < 0:
+        raise UnknownGeneratorError(gen_ids[gen[np.argmax(row < 0)]])
+    period = table.period[row]
+    # math.remainder leaves every angle within half a period unchanged
+    for k in np.flatnonzero(np.abs(tau) > period / 2):
+        tau[k] = math.remainder(tau[k], period[k])
+    keep = np.abs(tau) >= 1e-15
+    row, tau = row[keep], tau[keep]
+    # one part for every angle within the clip
+    parts = np.ceil(np.abs(tau) / cfg.tau_clip)
+    counts = parts.astype(np.intp)
+    return list(zip(np.repeat(table.ids[row], counts).tolist(),
+                    np.repeat(tau / parts, counts).tolist()))
 
 
 def _slice_power(slice_items, gens: GeneratorSet, slices: int) -> Matrix:

@@ -68,6 +68,7 @@ class GeneratorSet:
     elements: list[Generator]
     label: str = ""
     _eig_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _eig_table: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:

@@ -114,8 +114,14 @@ def frob_inner(a, b) -> float:
 # eigendecomposition
 # ---------------------------------------------------------------------------
 
-def _eigvec_sort_key(column: np.ndarray):
-    return tuple(p for x in column for p in (x.real, x.imag))
+def _descending_order(values: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Order of values descending, ties broken by the columns of w.
+
+    Tied columns compare by their entries' (re, im) parts in turn, the
+    first entry's real part first.
+    """
+    parts = np.ascontiguousarray(w.T).view(float)   # row j: column j's parts
+    return np.lexsort(np.vstack((parts.T[::-1], -values)))
 
 
 def _canonical_columns(w: np.ndarray) -> np.ndarray:
@@ -145,7 +151,7 @@ def herm_eig(h, tol: float | None = None) -> tuple[np.ndarray, Matrix]:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"herm_eig: {exc}") from None
     v = _canonical_columns(v)
-    order = sorted(range(m.shape[0]), key=lambda j: (-lam[j], _eigvec_sort_key(v[:, j])))
+    order = _descending_order(lam, v)
     return lam[order].copy(), v[:, order].copy()
 
 
@@ -185,7 +191,7 @@ def unitary_eig(u, tol: float | None = None) -> tuple[np.ndarray, Matrix]:
     sin_d = np.real(np.diag(dagger(w) @ im_part @ w))
     phases = np.arctan2(sin_d, cos_d)
     phases[phases <= -math.pi + 1e-14] = math.pi
-    order = sorted(range(n), key=lambda j: (-phases[j], _eigvec_sort_key(w[:, j])))
+    order = _descending_order(phases, w)
     return phases[order].copy(), w[:, order].copy()
 
 

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from liegates.compiler import (
+    _CHUNK,
     CompileConfig,
     GateSequence,
+    _generator_eig,
+    _slice_items,
     compile,
     compile_report,
     evaluate,
@@ -16,8 +21,8 @@ from liegates.errors import (
     NotMemberError,
     UnknownGeneratorError,
 )
-from liegates.generators import clifford_gammas, two_local_clifford_set
-from liegates.lieclosure import closure, membership
+from liegates.generators import clifford_gammas, two_local_clifford_set, two_local_torus_set
+from liegates.lieclosure import _BUILDERS, closure, membership
 from liegates.linalg import (
     expm_antiherm,
     frob_norm,
@@ -76,6 +81,26 @@ def test_evaluate_unknown_id(two_local):
     gens, _ = two_local
     with pytest.raises(UnknownGeneratorError):
         evaluate([("nope", 1.0)], gens)
+
+
+@pytest.mark.parametrize("length", [0, 1, 3 * _CHUNK + 1])
+def test_evaluate_matches_per_gate_product(length):
+    gens = two_local_torus_set(2, 3)
+    ids = gens.ids()
+    rng = np.random.default_rng(length)
+    items = [(ids[int(rng.integers(len(ids)))], float(rng.normal(scale=2.0)))
+             for _ in range(length)]
+    ref = np.eye(gens.dim, dtype=complex)
+    for gen_id, tau in items:
+        ref = ref @ gate_matrix(gens, gen_id, tau)
+    assert np.max(np.abs(evaluate(items, gens) - ref)) <= 1e-12
+
+
+def test_evaluate_unknown_id_deep_in_word(two_local):
+    gens, _ = two_local
+    items = [("G0", 0.1)] * (2 * _CHUNK + 5) + [("nope", 1.0)] + [("G0", 0.1)] * 7
+    with pytest.raises(UnknownGeneratorError):
+        evaluate(items, gens)
 
 
 def test_evaluate_always_unitary(two_local):
@@ -240,3 +265,62 @@ def test_coordinate_idempotence(two_local):
 def test_gate_sequence_dataclass():
     seq = GateSequence([("G0", 0.1)], 4, {"gate_count": 1})
     assert seq.gate_count == 1
+
+
+# -- reference realisation: the recursive group-commutator expansion ---------
+
+def _realize(basis, idx, theta, out):
+    if abs(theta) < 1e-15:
+        return
+    rec = basis.recipes[idx]
+    if rec.kind == "leaf":
+        out.append((rec.gen_id, theta / rec.coeff))
+        return
+    left, right, u = rec.left, rec.right, theta / rec.coeff
+    if u < 0:
+        left, right, u = rec.right, rec.left, -u
+    t = math.sqrt(u)
+    _realize(basis, left, t, out)
+    _realize(basis, right, t, out)
+    _realize(basis, left, -t, out)
+    _realize(basis, right, -t, out)
+
+
+def _wrap_and_clip(items, gens, clip, hits):
+    out = []
+    for gen_id, tau in items:
+        _, _, period = _generator_eig(gens, gen_id)
+        if period is not None:
+            hits["wrap"] += abs(tau) > period / 2
+            tau = math.remainder(tau, period)
+        if abs(tau) < 1e-15:
+            continue
+        if abs(tau) > clip:
+            hits["clip"] += 1
+            parts = math.ceil(abs(tau) / clip)
+            out.extend([(gen_id, tau / parts)] * parts)
+        else:
+            out.append((gen_id, tau))
+    return out
+
+
+def test_slice_items_match_recursive_realisation():
+    cfg = CompileConfig()
+    rng = np.random.default_rng(40)
+    hits = {"wrap": 0, "clip": 0}
+    for label in _BUILDERS:
+        n, l = {"torus_splits": (1, 3), "torus_two_local": (2, 3)}.get(label, (2, 2))
+        gens = _BUILDERS[label](n, l)
+        basis = closure(gens)
+        for scale in (1e-3, 0.3, 3.0, 30.0):
+            coords = rng.normal(scale=scale, size=basis.dim)
+            coords[::5] = 0.0
+            coords[-1] = 3e-14   # a commutator, dropped at 64 slices (under 1e-15)
+            for slices in (1, 8, 64):
+                ref: list = []
+                for j, c in enumerate(coords):
+                    if abs(c) >= 1e-14:
+                        _realize(basis, j, float(c) / slices, ref)
+                ref = _wrap_and_clip(ref, gens, cfg.tau_clip, hits)
+                assert _slice_items(coords, basis, slices, gens, cfg) == ref
+    assert hits["wrap"] > 0 and hits["clip"] > 0

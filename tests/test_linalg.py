@@ -12,6 +12,7 @@ from liegates.errors import (
 )
 from liegates.generators import clifford_gammas
 from liegates.linalg import (
+    _canonical_columns,
     anticommutator,
     commutator,
     error_metrics,
@@ -184,6 +185,30 @@ def test_herm_eig_degenerate_spectrum():
         assert pivot.imag == 0.0 and pivot.real > 0.0
     lam2, w2 = herm_eig(h)
     assert np.array_equal(lam, lam2) and np.array_equal(w, w2)
+
+
+def _tuple_sorted_order(values, w):
+    """Reference ordering: values descending, ties by the columns' (re, im) parts."""
+    def key(j):
+        return (-values[j], tuple(p for x in w[:, j] for p in (x.real, x.imag)))
+    return sorted(range(len(values)), key=key)
+
+
+@pytest.mark.parametrize("case", ["gamma", "identity"])
+def test_herm_eig_order_matches_tuple_sort(case):
+    h = -1j * clifford_gammas(3).by_id("G0").matrix if case == "gamma" else np.eye(8, dtype=complex)
+    lam, w = herm_eig(h)
+    raw_lam, raw_w = np.linalg.eigh((h + h.conj().T) / 2.0)
+    raw_w = _canonical_columns(raw_w)
+    order = _tuple_sorted_order(raw_lam, raw_w)
+    assert lam.tobytes() == raw_lam[order].tobytes()
+    assert w.tobytes() == raw_w[:, order].tobytes()
+
+
+def test_unitary_eig_order_matches_tuple_sort():
+    phases, w = unitary_eig(np.diag([1, -1, 1j, -1j]))
+    assert _tuple_sorted_order(phases, w) == [0, 1, 2, 3]
+    assert np.allclose(phases, [np.pi, np.pi / 2, 0.0, -np.pi / 2], atol=1e-15)
 
 
 def test_herm_eig_rejects_non_hermitian():
