@@ -29,18 +29,16 @@ from .config import DEFAULTS
 from .errors import BranchCutWarning, LieGatesError, NotMemberError
 from . import generators as gen_mod
 from .compiler import CompileConfig, compile as compile_target, compile_report, evaluate
-from .generators import GeneratorSet, pauli, relation_report, tau, torus_T, weyl_pair
+from .generators import GeneratorSet, relation_report, torus_T
 from . import lieclosure
 from .lieclosure import build_family, closure, dimension_table, spin_subgroup_check
 from .linalg import frob_norm, random_anti_hermitian, random_unitary, expm_antiherm, logm_unitary
 from .symalg import span_dimension
 
-CLOSURE_FAMILIES = tuple(lieclosure._BUILDERS)
-
-GEN_FAMILIES = ("pauli", "weyl", "tau", "torus_full") + CLOSURE_FAMILIES
-
-# relation_report is defined for the named families, not for "custom" sets
-RELATION_FAMILIES = tuple(f for f in GEN_FAMILIES if f in gen_mod.FAMILIES)
+# every family choice comes from the table that defines it
+GEN_FAMILIES = tuple(lieclosure._BUILDERS)
+CLOSURE_FAMILIES = tuple(lieclosure._PREDICTED)
+RELATION_FAMILIES = tuple(gen_mod._RELATIONS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,22 +65,10 @@ def _matrix_from_json(data) -> np.ndarray:
     return arr
 
 
-def _build_set(family: str, n: int, l: int) -> GeneratorSet:
-    if family == "pauli":
-        return pauli()
-    if family == "weyl":
-        return weyl_pair(l)
-    if family == "tau":
-        return tau(l)
-    if family == "torus_full":
-        return torus_T(n, l)
-    return build_family(family, n, l)
-
-
 def _serialize_set(gens: GeneratorSet, include_matrices: bool = True) -> dict:
     out = {
         "family": gens.family,
-        "label": gens.label,
+        "label": gens.family,
         "n": gens.n,
         "l": gens.l,
         "dim": gens.dim,
@@ -104,20 +90,20 @@ def _serialize_set(gens: GeneratorSet, include_matrices: bool = True) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_gens(args) -> dict:
-    gens = _build_set(args.family, args.n, args.l)
+    gens = build_family(args.family, args.n, args.l)
     return _serialize_set(gens, include_matrices=not args.no_matrices)
 
 
 def _cmd_relations(args) -> dict:
-    return relation_report(_build_set(args.family, args.n, args.l))
+    return relation_report(build_family(args.family, args.n, args.l))
 
 
 def _cmd_closure(args) -> dict:
-    gens = _build_set(args.family, args.n, args.l)
+    gens = build_family(args.family, args.n, args.l)
     basis = closure(gens, tol=args.tol)
     out = {
         "family": gens.family,
-        "label": gens.label,
+        "label": gens.family,
         "n": gens.n,
         "l": gens.l,
         "dim": basis.dim,
@@ -164,7 +150,7 @@ def _target_matrix(args, dim: int) -> np.ndarray:
 
 
 def _cmd_compile(args) -> dict:
-    gens = _build_set(args.family, args.n, args.l)
+    gens = build_family(args.family, args.n, args.l)
     basis = closure(gens)
     target = _target_matrix(args, gens.dim)
     cfg = CompileConfig(
@@ -175,10 +161,11 @@ def _cmd_compile(args) -> dict:
         refine=not args.no_refine,
         merge=args.merge,
     )
-    if args.sweep:
-        report = compile_report(target, gens, basis, tuple(args.sweep), cfg)
+    if args.sweep is not None:
+        # a bare --sweep runs the default slice counts
+        report = compile_report(target, gens, basis, tuple(args.sweep) or None, cfg)
         return {
-            "gens": gens.label,
+            "gens": gens.family,
             "n": gens.n,
             "l": gens.l,
             "sweep": report["rows"],
@@ -186,7 +173,7 @@ def _cmd_compile(args) -> dict:
         }
     seq = compile_target(target, gens, basis, cfg)
     return {
-        "gens": gens.label,
+        "gens": gens.family,
         "n": gens.n,
         "l": gens.l,
         "items": [[gid, tau] for gid, tau in seq.items],

@@ -68,7 +68,6 @@ class CompileConfig:
     target_error: float | None = None
     tau_clip: float = DEFAULTS.tau_clip
     refine: bool = True
-    refine_max_iter: int = DEFAULTS.refine_max_iter
     merge: bool = False
 
     def __post_init__(self):
@@ -329,6 +328,10 @@ def _slice_power(slice_items, gens: GeneratorSet, slices: int) -> Matrix:
 # compilation
 # ---------------------------------------------------------------------------
 
+# fixed-point refinement iterations per compile
+_REFINE_MAX_ITER = 60
+
+
 def _traceless(a: Matrix) -> Matrix:
     n = a.shape[0]
     return a - (np.trace(a) / n) * np.eye(n, dtype=complex)
@@ -339,43 +342,37 @@ def _refine_coords(u: Matrix, coords: np.ndarray, basis: LieBasis,
     """Fixed-point coordinate solve against the realised slice product.
 
     Compares logarithms in the algebra frame (target coordinates against
-    the coordinates of the realised product) and backtracks on steps that
-    do not reduce the phase-invariant error, keeping the best iterate.
+    the coordinates of the realised product) and backtracks until a step
+    strictly reduces the phase-invariant error, so the current iterate is
+    always the best one.
     """
     floor = 1e-11
 
     def product_for(c):
         return _slice_power(_slice_items(c, basis, slices, gens, cfg), gens, slices)
 
-    target = coords.copy()
-    c = coords.copy()
+    c = coords
     v = product_for(c)
-    best_err, best_c = phase_invariant_dist(u, v), c.copy()
-    for _ in range(cfg.refine_max_iter):
-        err = phase_invariant_dist(u, v)
-        if err < best_err:
-            best_err, best_c = err, c.copy()
-        if best_err <= floor:
+    err = phase_invariant_dist(u, v)
+    for _ in range(_REFINE_MAX_ITER):
+        if err <= floor:
             break
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BranchCutWarning)
             realised_log = _traceless(logm_unitary(v))
-        delta = target - membership(realised_log, basis, tol=1.0).coefficients
+        delta = coords - membership(realised_log, basis, tol=1.0).coefficients
         if np.linalg.norm(delta) < 1e-14:
             break
-        accepted = False
         for step in (1.0, 0.5, 0.25, 0.125):
             cand = c + step * delta
             v_cand = product_for(cand)
-            if phase_invariant_dist(u, v_cand) < err:
-                c, v, accepted = cand, v_cand, True
+            err_cand = phase_invariant_dist(u, v_cand)
+            if err_cand < err:
+                c, v, err = cand, v_cand, err_cand
                 break
-        if not accepted:
+        else:
             break
-    err = phase_invariant_dist(u, v)
-    if err < best_err:
-        best_c = c
-    return best_c
+    return c
 
 
 def _compile_fixed(u: Matrix, gens: GeneratorSet, basis: LieBasis,

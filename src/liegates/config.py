@@ -1,7 +1,8 @@
-"""Single place for numerical defaults.
+"""Single place for the package's shared numerical defaults.
 
-Every tolerance, cap and sweep used anywhere in the package lives here so
-that the CLI can document and override them in one spot.  No environment
+The CLI overrides three of them: `closure --tol` (closure_tol),
+`compile --tau-clip` (tau_clip) and `compile --sweep` (slice counts;
+a bare --sweep runs m_sweep).  The others are fixed.  No environment
 variables are consulted.
 """
 
@@ -32,7 +33,6 @@ class Defaults:
     # compiler
     m_sweep: tuple = (1, 2, 4, 8, 16, 32, 64)
     tau_clip: float = math.pi
-    refine_max_iter: int = 60
 
 
 DEFAULTS = Defaults()

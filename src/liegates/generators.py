@@ -36,17 +36,6 @@ log = logging.getLogger(__name__)
 ANTI_HERMITIAN = "anti_hermitian"
 UNITARY_NON_HERMITIAN = "unitary_non_hermitian"
 
-FAMILIES = (
-    "pauli",
-    "weyl",
-    "tau",
-    "clifford_full",
-    "clifford_two_local",
-    "torus_full",
-    "torus_two_local",
-    "custom",
-)
-
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -66,15 +55,10 @@ class GeneratorSet:
     n: int
     l: int
     elements: list[Generator]
-    label: str = ""
     _eig_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _eig_table: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise FamilyMismatchError(f"unknown family {self.family!r}")
-        if not self.label:
-            self.label = self.family
         dims = {el.matrix.shape[0] for el in self.elements}
         if len(dims) > 1:
             raise FamilyMismatchError(f"mixed matrix dimensions {sorted(dims)}")
@@ -265,6 +249,18 @@ def hermitian_split(t, tol: float | None = None) -> tuple[Matrix, Matrix]:
     return 1j * (m + dagger(m)), m - dagger(m)
 
 
+def _split_elements(raw: list[tuple[str, Matrix]], n: int, l: int) -> list[Generator]:
+    """Hermitian splits id+ and id- of each unitary, zero splits dropped."""
+    els = []
+    for gid, m in raw:
+        for suffix, part in zip("+-", hermitian_split(m)):
+            if frob_norm(part) < 1e-12:
+                log.debug("dropping zero split %s%s at (n=%d, l=%d)", gid, suffix, n, l)
+                continue
+            els.append(Generator(gid + suffix, part, locality(part, n, l), ANTI_HERMITIAN))
+    return els
+
+
 def two_local_clifford_set(n: int, cap: int | None = None) -> GeneratorSet:
     """Gamma_0, the chain products Gamma_k Gamma_{k+1} and the extra element.
 
@@ -295,27 +291,13 @@ def two_local_torus_set(n: int, l: int, cap: int | None = None) -> GeneratorSet:
     mats = ts.matrices()
     raw: list[tuple[str, Matrix]] = [("T0", mats[0])]
     raw += [(f"T{k}dT{k + 1}", dagger(mats[k]) @ mats[k + 1]) for k in range(2 * n - 1)]
-    els = []
-    for gid, m in raw:
-        for suffix, part in zip("+-", hermitian_split(m)):
-            if frob_norm(part) < 1e-12:
-                log.info("dropping zero split %s%s at (n=%d, l=%d)", gid, suffix, n, l)
-                continue
-            els.append(Generator(gid + suffix, part, locality(part, n, l), ANTI_HERMITIAN))
-    return GeneratorSet("torus_two_local", n, l, els)
+    return GeneratorSet("torus_two_local", n, l, _split_elements(raw, n, l))
 
 
 def torus_split_set(n: int, l: int, cap: int | None = None) -> GeneratorSet:
     """Hermitian splits of every torus generator T_k (zero splits dropped)."""
-    ts = torus_T(n, l, cap=cap)
-    els = []
-    for el in ts.elements:
-        for suffix, part in zip("+-", hermitian_split(el.matrix)):
-            if frob_norm(part) < 1e-12:
-                log.info("dropping zero split %s%s at (n=%d, l=%d)", el.id, suffix, n, l)
-                continue
-            els.append(Generator(el.id + suffix, part, locality(part, n, l), ANTI_HERMITIAN))
-    return GeneratorSet("custom", n, l, els, label="torus_splits")
+    raw = [(el.id, el.matrix) for el in torus_T(n, l, cap=cap).elements]
+    return GeneratorSet("torus_splits", n, l, _split_elements(raw, n, l))
 
 
 def clifford_plus_u(n: int, cap: int | None = None) -> GeneratorSet:
@@ -333,7 +315,7 @@ def clifford_plus_u(n: int, cap: int | None = None) -> GeneratorSet:
     else:
         extra = gamma_u(n, cap=cap)
         els.append(Generator("Gu", extra, locality(extra, n, 2), ANTI_HERMITIAN))
-    return GeneratorSet("custom", n, 2, els, label="clifford_plus_u")
+    return GeneratorSet("clifford_plus_u", n, 2, els)
 
 
 # ---------------------------------------------------------------------------
@@ -344,74 +326,79 @@ def _zeta(l: int) -> complex:
     return cmath.exp(2j * math.pi / l)
 
 
-def relation_report(gens: GeneratorSet) -> dict:
-    """Max absolute violation of the family's defining relations.
-
-    Returns a machine-readable dict with one entry per relation class and
-    the overall maximum.
-    """
-    if gens.family == "custom":
-        raise FamilyMismatchError("relation_report is undefined for custom sets")
-    checks: list[dict] = []
-
-    def add(name: str, value: float):
-        checks.append({"name": name, "max_violation": float(value)})
-
-    mats = gens.matrices()
-    eye = np.eye(gens.dim, dtype=complex)
-
-    if gens.family == "pauli":
+def _anticommutation(name: str, square: float):
+    """{a_i, a_j} = 2 delta_ij square I: Pauli matrices square to +I, gammas to -I."""
+    def checks(gens: GeneratorSet, mats: list[Matrix], eye: Matrix) -> list:
         worst = 0.0
         for i, a in enumerate(mats):
             for j, b in enumerate(mats):
-                target = 2.0 * eye if i == j else np.zeros_like(eye)
+                target = 2.0 * square * eye if i == j else np.zeros_like(eye)
                 worst = max(worst, max_abs(anticommutator(a, b) - target))
-        add("pauli_anticommutation", worst)
-    elif gens.family == "weyl":
-        u, v = mats
-        zeta = _zeta(gens.l)
-        add("weyl_commutation", max_abs(u @ v - zeta * (v @ u)))
-        add("shift_order", max_abs(np.linalg.matrix_power(u, gens.l) - eye))
-        add("clock_order", max_abs(np.linalg.matrix_power(v, gens.l) - eye))
-    elif gens.family == "tau":
-        tx, ty, tz = mats
-        zeta = _zeta(gens.l)
-        worst = max(
-            max_abs(tx @ ty - zeta * (ty @ tx)),
-            max_abs(ty @ tz - zeta * (tz @ ty)),
-            max_abs(tx @ tz - zeta * (tz @ tx)),
-        )
-        add("tau_commutation", worst)
-        add("tau_order", max(
-            max_abs(np.linalg.matrix_power(m, gens.l) - eye) for m in mats
-        ))
-    elif gens.family == "clifford_full":
-        worst = 0.0
-        for i, a in enumerate(mats):
-            for j, b in enumerate(mats):
-                target = -2.0 * eye if i == j else np.zeros_like(eye)
-                worst = max(worst, max_abs(anticommutator(a, b) - target))
-        add("gamma_anticommutation", worst)
-    elif gens.family == "torus_full":
+        return [(name, worst)]
+    return checks
+
+
+def _torus_relations(prefix: str):
+    """T_j T_k = zeta T_k T_j for j < k and T^l = I (tau is the n = 1 case)."""
+    def checks(gens: GeneratorSet, mats: list[Matrix], eye: Matrix) -> list:
         zeta = _zeta(gens.l)
         worst = 0.0
         for j in range(len(mats)):
             for k in range(j + 1, len(mats)):
                 worst = max(worst, max_abs(mats[j] @ mats[k] - zeta * (mats[k] @ mats[j])))
-        add("torus_commutation", worst)
-        add("torus_order", max(
-            max_abs(np.linalg.matrix_power(m, gens.l) - eye) for m in mats
-        ))
-    else:  # two-local reduced sets: anti-Hermiticity and locality bound
-        add("anti_hermiticity", max(max_abs(m + dagger(m)) for m in mats))
-        add("locality_bound", float(max(el.locality for el in gens.elements) > 2))
+        order = max(max_abs(np.linalg.matrix_power(m, gens.l) - eye) for m in mats)
+        return [(f"{prefix}_commutation", worst), (f"{prefix}_order", order)]
+    return checks
 
-    overall = max(c["max_violation"] for c in checks)
+
+def _weyl_relations(gens: GeneratorSet, mats: list[Matrix], eye: Matrix) -> list:
+    u, v = mats
+    return [
+        ("weyl_commutation", max_abs(u @ v - _zeta(gens.l) * (v @ u))),
+        ("shift_order", max_abs(np.linalg.matrix_power(u, gens.l) - eye)),
+        ("clock_order", max_abs(np.linalg.matrix_power(v, gens.l) - eye)),
+    ]
+
+
+def _two_local_relations(gens: GeneratorSet, mats: list[Matrix], eye: Matrix) -> list:
+    """Reduced sets: anti-Hermiticity and the two-site locality bound."""
+    return [
+        ("anti_hermiticity", max(max_abs(m + dagger(m)) for m in mats)),
+        ("locality_bound", float(max(el.locality for el in gens.elements) > 2)),
+    ]
+
+
+# family -> (name, max violation) checks of its defining relations
+_RELATIONS = {
+    "pauli": _anticommutation("pauli_anticommutation", 1.0),
+    "weyl": _weyl_relations,
+    "tau": _torus_relations("tau"),
+    "torus_full": _torus_relations("torus"),
+    "clifford_full": _anticommutation("gamma_anticommutation", -1.0),
+    "clifford_two_local": _two_local_relations,
+    "torus_two_local": _two_local_relations,
+}
+
+
+def relation_report(gens: GeneratorSet) -> dict:
+    """Max absolute violation of the family's defining relations.
+
+    Returns a machine-readable dict with one entry per relation class and
+    the overall maximum.  Families without defining relations (the split
+    and extended sets, user-built sets) raise FamilyMismatchError.
+    """
+    if gens.family not in _RELATIONS:
+        raise FamilyMismatchError(f"relation_report is undefined for family {gens.family!r}")
+    eye = np.eye(gens.dim, dtype=complex)
+    checks = [
+        {"name": name, "max_violation": float(value)}
+        for name, value in _RELATIONS[gens.family](gens, gens.matrices(), eye)
+    ]
     return {
         "family": gens.family,
-        "label": gens.label,
+        "label": gens.family,
         "n": gens.n,
         "l": gens.l,
         "checks": checks,
-        "max_violation": overall,
+        "max_violation": max(c["max_violation"] for c in checks),
     }

@@ -27,9 +27,13 @@ from .generators import (
     GeneratorSet,
     clifford_gammas,
     clifford_plus_u,
+    pauli,
+    tau,
+    torus_T,
     torus_split_set,
     two_local_clifford_set,
     two_local_torus_set,
+    weyl_pair,
 )
 from .linalg import Matrix, as_matrix, commutator, frob_inner, frob_norm, is_anti_hermitian
 
@@ -229,18 +233,12 @@ def membership(a, basis: LieBasis, tol: float | None = None) -> MembershipResult
 # dimension accounting
 # ---------------------------------------------------------------------------
 
-def predicted_dimension(label: str, n: int, l: int) -> int:
-    """Published closure-dimension targets per family."""
-    if label == "clifford_full":
-        return 2 * n * n + n
-    if label in ("clifford_plus_u", "clifford_two_local"):
-        return 4**n
-    if label in ("torus_splits", "torus_two_local"):
-        return l ** (2 * n)
-    raise ValueError(f"no prediction for {label!r}")
-
-
+# the family registry: every label and how to build its set at (n, l)
 _BUILDERS = {
+    "pauli": lambda n, l: pauli(),
+    "weyl": lambda n, l: weyl_pair(l),
+    "tau": lambda n, l: tau(l),
+    "torus_full": torus_T,
     "clifford_full": lambda n, l: clifford_gammas(n),
     "clifford_plus_u": lambda n, l: clifford_plus_u(n),
     "clifford_two_local": lambda n, l: two_local_clifford_set(n),
@@ -248,13 +246,27 @@ _BUILDERS = {
     "torus_two_local": two_local_torus_set,
 }
 
+# published closure-dimension targets of the anti-Hermitian families
+_PREDICTED = {
+    "clifford_full": lambda n, l: 2 * n * n + n,
+    "clifford_plus_u": lambda n, l: 4**n,
+    "clifford_two_local": lambda n, l: 4**n,
+    "torus_splits": lambda n, l: l ** (2 * n),
+    "torus_two_local": lambda n, l: l ** (2 * n),
+}
+
+
+def predicted_dimension(label: str, n: int, l: int) -> int:
+    """Published closure-dimension targets per family."""
+    if label not in _PREDICTED:
+        raise ValueError(f"no prediction for {label!r}")
+    return _PREDICTED[label](n, l)
+
 
 def build_family(label: str, n: int, l: int = 2) -> GeneratorSet:
-    try:
-        builder = _BUILDERS[label]
-    except KeyError:
-        raise ValueError(f"unknown closure family {label!r}") from None
-    return builder(n, l)
+    if label not in _BUILDERS:
+        raise ValueError(f"unknown family {label!r}")
+    return _BUILDERS[label](n, l)
 
 
 def dimension_table(
@@ -311,25 +323,11 @@ def spin_subgroup_check(n: int, tol: float = 1e-8) -> dict:
         for k in range(j + 1, len(mats)):
             explicit.append(mats[j] @ mats[k])
 
-    # explicit elements inside the closure span
+    # explicit elements inside the closure span; equal dimension then gives
+    # the reverse inclusion
     into = all(membership(m, basis, tol=tol).member for m in explicit)
-
-    # closure basis inside the explicit span
-    ortho: list[Matrix] = []
-    for m in explicit:
-        r = m.astype(complex)
-        for b in ortho:
-            r = r - frob_inner(b, r) * b
-        norm = frob_norm(r)
-        if norm > 1e-12:
-            ortho.append(r / norm)
-    stack = np.stack(ortho)
-    back = True
-    for b in basis.basis:
-        coeffs = np.einsum("kij,ij->k", stack.conj(), b).real
-        if frob_norm(b - np.tensordot(coeffs, stack, axes=1)) > tol:
-            back = False
-            break
+    rank = np.linalg.matrix_rank(np.stack(explicit).reshape(len(explicit), -1).view(float))
+    back = int(rank) == basis.dim
 
     expected = 2 * n * n + n
     return {

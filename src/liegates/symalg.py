@@ -102,7 +102,7 @@ def mono_eval(a: Monomial, gens: GeneratorSet) -> Matrix:
     """Dense value mu^p prod_k T_k^{e_k} (ascending k) in the given family."""
     if gens.family != "torus_full" or gens.n != a.n or gens.l != a.l:
         raise FamilyMismatchError(
-            f"need torus_full with (n={a.n}, l={a.l}), got {gens.label} "
+            f"need torus_full with (n={a.n}, l={a.l}), got {gens.family} "
             f"(n={gens.n}, l={gens.l})"
         )
     dim = gens.dim

@@ -1,9 +1,13 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from liegates.cli import run
+from liegates.cli import build_parser, run
+from liegates.errors import FamilyMismatchError
+from liegates.generators import GeneratorSet, relation_report
+from liegates.lieclosure import _BUILDERS, build_family
 
 
 def run_json(capsys, argv):
@@ -160,6 +164,63 @@ def test_compile_sweep_mode(capsys):
     data = json.loads(out)
     assert [r["slices"] for r in data["sweep"]] == [1, 4, 16]
     assert data["monotone"]
+
+
+def test_compile_bare_sweep_runs_default_slices(capsys):
+    code, out, _ = run_json(
+        capsys,
+        ["compile", "--family", "clifford_two_local", "--n", "2",
+         "--target", "cnot", "--sweep"],
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert "items" not in data
+    assert [r["slices"] for r in data["sweep"]] == [1, 2, 4, 8, 16, 32, 64]
+
+
+# (n, l) per label where the default (2, 2) is not the interesting case
+REGISTRY_SIZES = {"weyl": (1, 3), "tau": (1, 3), "torus_full": (2, 3),
+                  "torus_splits": (1, 3), "torus_two_local": (2, 3)}
+
+
+@pytest.mark.parametrize("label", list(_BUILDERS))
+def test_registry_label_is_family(capsys, label):
+    n, l = REGISTRY_SIZES.get(label, (2, 2))
+    gens = build_family(label, n, l)
+    assert gens.family == label
+    code, out, _ = run_json(
+        capsys, ["gens", "--family", label, "--n", str(n), "--l", str(l), "--no-matrices"]
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["family"] == data["label"] == label
+    if label in ("clifford_plus_u", "torus_splits"):
+        with pytest.raises(FamilyMismatchError):
+            relation_report(gens)
+    else:
+        assert relation_report(gens)["family"] == label
+    # a user-built set may take any name; relations are keyed by family
+    user_set = GeneratorSet(f"user_{label}", gens.n, gens.l, gens.elements)
+    with pytest.raises(FamilyMismatchError):
+        relation_report(user_set)
+
+
+def _family_choices(subcommand):
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in subs.choices[subcommand]._actions if a.dest == "family")
+
+
+def test_family_choices_per_subcommand():
+    closure_families = ["clifford_full", "clifford_plus_u", "clifford_two_local",
+                        "torus_splits", "torus_two_local"]
+    assert list(_family_choices("gens")) == (
+        ["pauli", "weyl", "tau", "torus_full"] + closure_families)
+    assert list(_family_choices("relations")) == [
+        "pauli", "weyl", "tau", "torus_full", "clifford_full",
+        "clifford_two_local", "torus_two_local"]
+    assert list(_family_choices("closure")) == closure_families
+    assert list(_family_choices("compile")) == closure_families
 
 
 def test_closure_include_basis(capsys):

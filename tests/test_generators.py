@@ -222,7 +222,7 @@ def test_two_local_torus_drops_zero_splits_at_l2():
 
 def test_torus_split_set():
     gens = torus_split_set(1, 3)
-    assert gens.label == "torus_splits"
+    assert gens.family == "torus_splits"
     assert len(gens.elements) == 4
     assert all(is_anti_hermitian(m, tol=1e-12) for m in gens.matrices())
 

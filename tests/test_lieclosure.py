@@ -99,7 +99,7 @@ def test_closure_invariant_under_gl_recombination():
         Generator(f"M{i}", sum(mix[i, j] * mats[j] for j in range(4)), 2, "anti_hermitian")
         for i in range(4)
     ]
-    mixed_set = GeneratorSet("custom", 2, 2, mixed, label="gl_mix")
+    mixed_set = GeneratorSet("gl_mix", 2, 2, mixed)
     assert closure(mixed_set).dim == 10
 
 
@@ -107,9 +107,8 @@ def test_closure_accepts_real_generators():
     # real antisymmetric rotation generators close on so(3)
     lx = np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=float)
     ly = np.array([[0, 0, 1], [0, 0, 0], [-1, 0, 0]], dtype=float)
-    gens = GeneratorSet("custom", 1, 3, [Generator("Lx", lx, 1, "anti_hermitian"),
-                                         Generator("Ly", ly, 1, "anti_hermitian")],
-                        label="so3")
+    gens = GeneratorSet("so3", 1, 3, [Generator("Lx", lx, 1, "anti_hermitian"),
+                                      Generator("Ly", ly, 1, "anti_hermitian")])
     basis = closure(gens)
     assert basis.dim == 3
     assert basis.max_recipe_residual() <= 1e-12
