@@ -29,16 +29,15 @@ from .config import DEFAULTS
 from .errors import BranchCutWarning, LieGatesError, NotMemberError
 from . import generators as gen_mod
 from .compiler import CompileConfig, compile as compile_target, compile_report, evaluate
-from .generators import GeneratorSet, relation_report, torus_T
-from . import lieclosure
+from .generators import FAMILIES, GeneratorSet, relation_report, torus_T
 from .lieclosure import build_family, closure, dimension_table, spin_subgroup_check
 from .linalg import frob_norm, random_anti_hermitian, random_unitary, expm_antiherm, logm_unitary
 from .symalg import span_dimension
 
-# every family choice comes from the table that defines it
-GEN_FAMILIES = tuple(lieclosure._BUILDERS)
-CLOSURE_FAMILIES = tuple(lieclosure._PREDICTED)
-RELATION_FAMILIES = tuple(gen_mod._RELATIONS)
+# every family choice comes from the registry, in its order
+GEN_FAMILIES = tuple(FAMILIES)
+CLOSURE_FAMILIES = tuple(label for label, f in FAMILIES.items() if f.predicted)
+RELATION_FAMILIES = tuple(label for label, f in FAMILIES.items() if f.relations)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -231,36 +230,37 @@ def _cmd_verify(args) -> dict:
     record("evaluate_identity", frob_norm(evaluate([], gens) - np.eye(4)) == 0.0)
 
     # every subcommand's JSON payload against its documented schema
-    ns = argparse.Namespace
+    parser = build_parser()
+
+    def payload(*argv: str) -> dict:
+        parsed = parser.parse_args(argv)
+        return parsed.fn(parsed)
+
     schemas = {
         "gens": (
-            _cmd_gens(ns(family="pauli", n=1, l=2, no_matrices=False)),
+            payload("gens", "--family", "pauli"),
             {"family", "label", "n", "l", "dim", "elements"},
         ),
         "relations": (
-            _cmd_relations(ns(family="pauli", n=1, l=2)),
+            payload("relations", "--family", "pauli"),
             {"family", "label", "n", "l", "checks", "max_violation"},
         ),
         "closure": (
-            _cmd_closure(ns(family="clifford_full", n=1, l=2, tol=None,
-                            include_basis=False)),
+            payload("closure", "--family", "clifford_full"),
             {"family", "label", "n", "l", "dim", "dim_ambient", "spans_su",
              "generations", "max_recipe_residual", "recipes"},
         ),
         "span": (
-            _cmd_span(ns(l=2, n=1)),
+            payload("span", "--l", "2", "--n", "1"),
             {"l", "n", "rank"},
         ),
         "compile": (
-            _cmd_compile(ns(family="clifford_two_local", n=2, l=2,
-                            target="identity", target_file=None, slices=1,
-                            max_depth=8, target_error=None,
-                            tau_clip=DEFAULTS.tau_clip, no_refine=False,
-                            merge=False, sweep=None, seed=args.seed)),
+            payload("compile", "--family", "clifford_two_local", "--n", "2",
+                    "--target", "identity", "--seed", str(args.seed)),
             {"gens", "n", "l", "items", "report"},
         ),
         "table": (
-            _cmd_table(ns(max_n=1, families=["clifford_full"])),
+            payload("table", "--max-n", "1", "--families", "clifford_full"),
             {"rows", "all_match"},
         ),
     }
@@ -349,13 +349,15 @@ def run(argv: list[str] | None = None) -> int:
     except NotMemberError as exc:
         _emit_error("not_member", f"{exc} (residual {exc.residual:.6g})")
         return 1
-    except LieGatesError as exc:
-        kind = "validation" if isinstance(exc, ValueError) else "numerical"
-        _emit_error(kind, str(exc))
-        return 2 if kind == "validation" else 1
     except (OSError, json.JSONDecodeError) as exc:
         _emit_error("io", str(exc))
         return 2
+    except ValueError as exc:
+        _emit_error("validation", str(exc))
+        return 2
+    except LieGatesError as exc:
+        _emit_error("numerical", str(exc))
+        return 1
     text = json.dumps(result, indent=2)
     print(text)
     if getattr(args, "out", None):

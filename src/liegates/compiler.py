@@ -50,7 +50,6 @@ from .lieclosure import LieBasis, membership
 from .linalg import (
     Matrix,
     as_matrix,
-    dagger,
     error_metrics,
     herm_eig,
     is_unitary,
@@ -98,32 +97,6 @@ class GateSequence:
 _CHUNK = 256
 
 
-def _generator_eig(gens: GeneratorSet, gen_id: str):
-    """Cached eigendecomposition of -i A for generator A (A anti-Hermitian)."""
-    cached = gens._eig_cache.get(gen_id)
-    if cached is None:
-        try:
-            mat = gens.by_id(gen_id).matrix
-        except KeyError:
-            raise UnknownGeneratorError(gen_id) from None
-        lam, w = herm_eig(-1j * mat)
-        # wrap period: defined when the spectrum is +/- a single magnitude
-        mags = np.abs(lam)
-        top = float(np.max(mags)) if lam.size else 0.0
-        period = None
-        if top > 1e-12 and np.all(np.abs(mags - top) <= 1e-12 * max(top, 1.0)):
-            period = 2.0 * math.pi / top
-        cached = (lam, w, period)
-        gens._eig_cache[gen_id] = cached
-    return cached
-
-
-def gate_matrix(gens: GeneratorSet, gen_id: str, tau: float) -> Matrix:
-    """exp(A tau) for the generator with the given id."""
-    lam, w, _ = _generator_eig(gens, gen_id)
-    return (w * np.exp(1j * lam * tau)) @ dagger(w)
-
-
 class _EigTable(NamedTuple):
     """Eigenpairs and wrap periods of every generator of a set, by index."""
     index: dict[str, int]
@@ -135,21 +108,37 @@ class _EigTable(NamedTuple):
 
 
 def _eig_table(gens: GeneratorSet) -> _EigTable:
+    """Eigendecompositions of -i A for every generator A, cached on the set."""
     table = gens._eig_table
     if table is None:
         ids = gens.ids()
-        eigs = [_generator_eig(gens, gen_id) for gen_id in ids]
-        w = np.stack([e[1] for e in eigs])
+        eigs = [herm_eig(-1j * mat) for mat in gens.matrices()]
+        lam, w = (np.stack(part) for part in zip(*eigs))
+        # an angle wraps when the spectrum is +/- a single magnitude
+        mags = np.abs(lam)
+        top = mags.max(axis=1)
+        wraps = (top > 1e-12) & np.all(
+            np.abs(mags - top[:, None]) <= 1e-12 * np.maximum(top, 1.0)[:, None], axis=1)
+        period = np.divide(2.0 * math.pi, top, out=np.full(len(top), math.inf), where=wraps)
         table = _EigTable(
             index={gen_id: k for k, gen_id in enumerate(ids)},
             ids=np.array(ids, dtype=object),
-            lam=np.stack([e[0] for e in eigs]),
+            lam=lam,
             w=w,
             wh=w.conj().transpose(0, 2, 1).copy(),
-            period=np.array([math.inf if e[2] is None else e[2] for e in eigs]),
+            period=period,
         )
         gens._eig_table = table
     return table
+
+
+def gate_matrix(gens: GeneratorSet, gen_id: str, tau: float) -> Matrix:
+    """exp(A tau) for the generator with the given id."""
+    table = _eig_table(gens)
+    k = table.index.get(gen_id)
+    if k is None:
+        raise UnknownGeneratorError(gen_id)
+    return (table.w[k] * np.exp(1j * table.lam[k] * tau)) @ table.wh[k]
 
 
 def _chunk_product(table: _EigTable, chunk) -> Matrix:

@@ -18,7 +18,7 @@ class MatrixPropertyError(LieGatesError, ValueError):
 
 
 class ParameterMismatchError(LieGatesError, ValueError):
-    """Symbolic operands disagree on the algebra parameters (l, n)."""
+    """Operands, or a family and its pinned values, disagree on (l, n)."""
 
 
 class FamilyMismatchError(LieGatesError, ValueError):

@@ -14,6 +14,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import reduce
+from typing import Callable
 
 import numpy as np
 
@@ -55,7 +56,6 @@ class GeneratorSet:
     n: int
     l: int
     elements: list[Generator]
-    _eig_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _eig_table: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -368,15 +368,41 @@ def _two_local_relations(gens: GeneratorSet, mats: list[Matrix], eye: Matrix) ->
     ]
 
 
-# family -> (name, max violation) checks of its defining relations
-_RELATIONS = {
-    "pauli": _anticommutation("pauli_anticommutation", 1.0),
-    "weyl": _weyl_relations,
-    "tau": _torus_relations("tau"),
-    "torus_full": _torus_relations("torus"),
-    "clifford_full": _anticommutation("gamma_anticommutation", -1.0),
-    "clifford_two_local": _two_local_relations,
-    "torus_two_local": _two_local_relations,
+def _u_dim(n: int, l: int) -> int:
+    """The u(N) count N^2 at N = l^n."""
+    return l ** (2 * n)
+
+
+@dataclass(frozen=True)
+class Family:
+    """A registry entry.  `build(n, l)` calls its constructor by module-global
+    name, so a wrapper bound on this module sees the call; `pinned` maps each
+    parameter the family does not read to the one value it accepts;
+    `predicted(n, l)` is the published closure dimension and `relations`
+    the checks of the defining relations, where the family has them.
+    """
+    build: Callable[[int, int], GeneratorSet]
+    pinned: dict[str, int] = field(default_factory=dict)
+    predicted: Callable[[int, int], int] | None = None
+    relations: Callable | None = None
+
+
+# the family registry, in the order the CLI lists its choices
+FAMILIES = {
+    "pauli": Family(lambda n, l: pauli(), {"n": 1, "l": 2},
+                    relations=_anticommutation("pauli_anticommutation", 1.0)),
+    "weyl": Family(lambda n, l: weyl_pair(l), {"n": 1}, relations=_weyl_relations),
+    "tau": Family(lambda n, l: tau(l), {"n": 1}, relations=_torus_relations("tau")),
+    "torus_full": Family(lambda n, l: torus_T(n, l), relations=_torus_relations("torus")),
+    "clifford_full": Family(lambda n, l: clifford_gammas(n), {"l": 2},
+                            predicted=lambda n, l: 2 * n * n + n,
+                            relations=_anticommutation("gamma_anticommutation", -1.0)),
+    "clifford_plus_u": Family(lambda n, l: clifford_plus_u(n), {"l": 2}, _u_dim),
+    "clifford_two_local": Family(lambda n, l: two_local_clifford_set(n), {"l": 2}, _u_dim,
+                                 _two_local_relations),
+    "torus_splits": Family(lambda n, l: torus_split_set(n, l), {}, _u_dim),
+    "torus_two_local": Family(lambda n, l: two_local_torus_set(n, l), {}, _u_dim,
+                              _two_local_relations),
 }
 
 
@@ -387,12 +413,13 @@ def relation_report(gens: GeneratorSet) -> dict:
     the overall maximum.  Families without defining relations (the split
     and extended sets, user-built sets) raise FamilyMismatchError.
     """
-    if gens.family not in _RELATIONS:
+    family = FAMILIES.get(gens.family)
+    if family is None or family.relations is None:
         raise FamilyMismatchError(f"relation_report is undefined for family {gens.family!r}")
     eye = np.eye(gens.dim, dtype=complex)
     checks = [
         {"name": name, "max_violation": float(value)}
-        for name, value in _RELATIONS[gens.family](gens, gens.matrices(), eye)
+        for name, value in family.relations(gens, gens.matrices(), eye)
     ]
     return {
         "family": gens.family,

@@ -22,19 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import DimensionMismatchError, MatrixPropertyError
-from .generators import (
-    GeneratorSet,
-    clifford_gammas,
-    clifford_plus_u,
-    pauli,
-    tau,
-    torus_T,
-    torus_split_set,
-    two_local_clifford_set,
-    two_local_torus_set,
-    weyl_pair,
-)
+from .errors import DimensionMismatchError, MatrixPropertyError, ParameterMismatchError
+from .generators import FAMILIES as _BUILDERS, GeneratorSet, clifford_gammas
 from .linalg import Matrix, as_matrix, commutator, frob_inner, frob_norm, is_anti_hermitian
 
 
@@ -151,9 +140,10 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
         if not is_anti_hermitian(el.matrix):
             raise MatrixPropertyError(f"generator {el.id} is not anti-Hermitian")
 
-    buf = np.zeros((cap, n_dim, n_dim), dtype=complex)
-    # real view of the frame: frob_inner(q, r) is a dot product of rows
-    flat = buf.reshape(cap, -1).view(float)
+    # frame rows, doubled when full; flat is its real view, where
+    # frob_inner(q, r) is a dot product of rows
+    buf = np.empty((len(gens.elements), n_dim, n_dim), dtype=complex)
+    flat = buf.reshape(len(buf), -1).view(float)
     cols: list[np.ndarray] = []   # frame coordinates of each element
     out = LieBasis(
         matrix_dim=n_dim,
@@ -162,6 +152,7 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
 
     def admit(c: Matrix, recipe: Recipe, generation: int) -> bool:
         """Add c/|c| if c leaves the span; the recipe's scale is set here."""
+        nonlocal buf, flat
         k = out.dim
         norm_c = frob_norm(c)
         if norm_c <= thresh:
@@ -175,6 +166,9 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
         if norm_r <= thresh:
             return False
         b = c / norm_c
+        if k == len(buf):
+            buf = np.resize(buf, (2 * k, n_dim, n_dim))
+            flat = buf.reshape(2 * k, -1).view(float)
         buf[k] = r / norm_r
         cols.append(np.append(coeffs, norm_r) / norm_c)
         out.basis.append(b)
@@ -233,40 +227,25 @@ def membership(a, basis: LieBasis, tol: float | None = None) -> MembershipResult
 # dimension accounting
 # ---------------------------------------------------------------------------
 
-# the family registry: every label and how to build its set at (n, l)
-_BUILDERS = {
-    "pauli": lambda n, l: pauli(),
-    "weyl": lambda n, l: weyl_pair(l),
-    "tau": lambda n, l: tau(l),
-    "torus_full": torus_T,
-    "clifford_full": lambda n, l: clifford_gammas(n),
-    "clifford_plus_u": lambda n, l: clifford_plus_u(n),
-    "clifford_two_local": lambda n, l: two_local_clifford_set(n),
-    "torus_splits": torus_split_set,
-    "torus_two_local": two_local_torus_set,
-}
-
-# published closure-dimension targets of the anti-Hermitian families
-_PREDICTED = {
-    "clifford_full": lambda n, l: 2 * n * n + n,
-    "clifford_plus_u": lambda n, l: 4**n,
-    "clifford_two_local": lambda n, l: 4**n,
-    "torus_splits": lambda n, l: l ** (2 * n),
-    "torus_two_local": lambda n, l: l ** (2 * n),
-}
-
-
 def predicted_dimension(label: str, n: int, l: int) -> int:
     """Published closure-dimension targets per family."""
-    if label not in _PREDICTED:
+    family = _BUILDERS.get(label)
+    if family is None or family.predicted is None:
         raise ValueError(f"no prediction for {label!r}")
-    return _PREDICTED[label](n, l)
+    return family.predicted(n, l)
 
 
 def build_family(label: str, n: int, l: int = 2) -> GeneratorSet:
-    if label not in _BUILDERS:
+    """Build a registered family; a pinned parameter accepts only its value."""
+    family = _BUILDERS.get(label)
+    if family is None:
         raise ValueError(f"unknown family {label!r}")
-    return _BUILDERS[label](n, l)
+    for name, given in (("n", n), ("l", l)):
+        if family.pinned.get(name, given) != given:
+            raise ParameterMismatchError(
+                f"family {label!r} takes only {name} = {family.pinned[name]}, got {given}"
+            )
+    return family.build(n, l)
 
 
 def dimension_table(

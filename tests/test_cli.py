@@ -145,6 +145,34 @@ def test_eigensolver_failure_exits_1(capsys, monkeypatch):
     assert json.loads(err)["error"]["type"] == "numerical"
 
 
+@pytest.mark.parametrize("argv", [
+    ["closure", "--family", "clifford_two_local", "--n", "1"],
+    ["gens", "--family", "weyl", "--l", "1"],
+    ["span", "--l", "1", "--n", "1"],
+    ["compile", "--family", "clifford_two_local", "--n", "2", "--slices", "0"],
+])
+def test_out_of_range_value_exits_2(capsys, argv):
+    code, out, err = run_json(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "validation"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gens", "--family", "weyl", "--n", "3", "--l", "3"],
+    ["relations", "--family", "pauli", "--n", "4", "--l", "7"],
+    ["closure", "--family", "clifford_full", "--n", "2", "--l", "5"],
+    ["gens", "--family", "tau", "--n", "2", "--l", "3"],
+    ["relations", "--family", "clifford_two_local", "--n", "2", "--l", "9"],
+])
+def test_pinned_parameter_refused(capsys, argv):
+    # each family reads only some of --n/--l; the other is pinned
+    code, out, err = run_json(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "validation"
+
+
 def test_out_file(capsys, tmp_path):
     path = tmp_path / "out.json"
     code, out, _ = run_json(
@@ -179,7 +207,7 @@ def test_compile_bare_sweep_runs_default_slices(capsys):
 
 
 # (n, l) per label where the default (2, 2) is not the interesting case
-REGISTRY_SIZES = {"weyl": (1, 3), "tau": (1, 3), "torus_full": (2, 3),
+REGISTRY_SIZES = {"pauli": (1, 2), "weyl": (1, 3), "tau": (1, 3), "torus_full": (2, 3),
                   "torus_splits": (1, 3), "torus_two_local": (2, 3)}
 
 

@@ -7,7 +7,7 @@ from liegates.compiler import (
     _CHUNK,
     CompileConfig,
     GateSequence,
-    _generator_eig,
+    _eig_table,
     _slice_items,
     compile,
     compile_report,
@@ -21,8 +21,13 @@ from liegates.errors import (
     NotMemberError,
     UnknownGeneratorError,
 )
-from liegates.generators import clifford_gammas, two_local_clifford_set, two_local_torus_set
-from liegates.lieclosure import _BUILDERS, _PREDICTED, closure, membership
+from liegates.generators import (
+    FAMILIES,
+    clifford_gammas,
+    two_local_clifford_set,
+    two_local_torus_set,
+)
+from liegates.lieclosure import build_family, closure, membership
 from liegates.linalg import (
     expm_antiherm,
     frob_norm,
@@ -288,9 +293,10 @@ def _realize(basis, idx, theta, out):
 
 def _wrap_and_clip(items, gens, clip, hits):
     out = []
+    table = _eig_table(gens)
     for gen_id, tau in items:
-        _, _, period = _generator_eig(gens, gen_id)
-        if period is not None:
+        period = table.period[table.index[gen_id]]
+        if math.isfinite(period):
             hits["wrap"] += abs(tau) > period / 2
             tau = math.remainder(tau, period)
         if abs(tau) < 1e-15:
@@ -308,9 +314,10 @@ def test_slice_items_match_recursive_realisation():
     cfg = CompileConfig()
     rng = np.random.default_rng(40)
     hits = {"wrap": 0, "clip": 0}
-    for label in _PREDICTED:   # the anti-Hermitian families
+    # the closure families: those with a predicted dimension
+    for label in [label for label, f in FAMILIES.items() if f.predicted]:
         n, l = {"torus_splits": (1, 3), "torus_two_local": (2, 3)}.get(label, (2, 2))
-        gens = _BUILDERS[label](n, l)
+        gens = build_family(label, n, l)
         basis = closure(gens)
         for scale in (1e-3, 0.3, 3.0, 30.0):
             coords = rng.normal(scale=scale, size=basis.dim)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import liegates.generators as gen_mod
 from liegates.errors import DimensionMismatchError, MatrixPropertyError
 from liegates.generators import (
     GeneratorSet,
@@ -13,6 +16,8 @@ from liegates.generators import (
     two_local_torus_set,
 )
 from liegates.lieclosure import (
+    _BUILDERS,
+    build_family,
     closure,
     dimension_table,
     membership,
@@ -60,6 +65,19 @@ def test_two_local_torus_closure():
     basis = closure(two_local_torus_set(2, 3))
     assert basis.dim == 80
     assert basis.spans_su
+
+
+def test_closure_frame_sized_by_admitted_elements():
+    gens = clifford_gammas(5)
+    tracemalloc.start()
+    try:
+        basis = closure(gens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis.dim == 55
+    # a frame sized for u(32) would take 1024 rows of 16 KB
+    assert peak < 8 * basis.dim * 32**2 * 16
 
 
 def test_closure_rejects_non_anti_hermitian():
@@ -215,6 +233,24 @@ def test_recipe_sexpr_shape():
     assert any(e.startswith("(comm ") for e in exprs)
     depths = [basis.depth(i) for i in range(basis.dim)]
     assert max(depths) >= 1 and min(depths) == 0
+
+
+def test_build_family_calls_constructor_by_module_name(monkeypatch):
+    # a wrapper bound on the generators module (as a tracer installs one)
+    # must see the build
+    calls = []
+    orig = gen_mod.torus_split_set
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(gen_mod, "torus_split_set", counting)
+    assert build_family("torus_splits", 1, 3).family == "torus_splits"
+    assert calls == [(1, 3)]
+    assert list(_BUILDERS) == [
+        "pauli", "weyl", "tau", "torus_full", "clifford_full", "clifford_plus_u",
+        "clifford_two_local", "torus_splits", "torus_two_local"]
 
 
 def test_predicted_dimensions():
