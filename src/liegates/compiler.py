@@ -17,20 +17,20 @@ All reported errors use the global-phase-invariant distance; the trace
 part of the logarithm (a pure global phase) is projected out before the
 coordinate solve.
 
-Words are built and evaluated on arrays.  Each basis element's word is
-cached on the basis as a template per sign of its coordinate (leaf
-generators, signs and the chain of scale divisions and square roots), so
-a coordinate's angles take one pass over its recipe tree.  `evaluate`
-takes a word 256 gates at a time: all gates of one generator come from one
-stacked product with its cached eigenbasis, the chunk is reduced by
-pairwise products, and the chunk products are multiplied left to right.
+Every mode runs one pipeline: `_plan` analyses the target once (checks,
+square-root split at the branch cut, logarithm, coordinates) and
+`_compile_at` refines, builds and evaluates the word of one slice count.
+Words stay arrays of generator table rows and angles, multiplied 256 gates
+at a time from stacked products over each generator's cached eigenbasis;
+(id, tau) pairs are built once, for the returned GateSequence, and
+`evaluate` streams them through the same chunks.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import NamedTuple
 
@@ -141,14 +141,8 @@ def gate_matrix(gens: GeneratorSet, gen_id: str, tau: float) -> Matrix:
     return (table.w[k] * np.exp(1j * table.lam[k] * tau)) @ table.wh[k]
 
 
-def _chunk_product(table: _EigTable, chunk) -> Matrix:
-    """Product of at most _CHUNK gates, first leftmost."""
-    ids, taus = zip(*chunk)
-    try:
-        gen = np.fromiter(map(table.index.__getitem__, ids), dtype=np.intp, count=len(ids))
-    except KeyError as exc:
-        raise UnknownGeneratorError(exc.args[0]) from None
-    tau = np.array(taus, dtype=float)
+def _chunk_product(table: _EigTable, gen: np.ndarray, tau: np.ndarray) -> Matrix:
+    """Product of at most _CHUNK gates, given by table row and angle, first leftmost."""
     n = table.lam.shape[1]
     gates = np.empty((len(gen), n, n), dtype=complex)
     for g in np.flatnonzero(np.bincount(gen)):
@@ -165,16 +159,31 @@ def _chunk_product(table: _EigTable, chunk) -> Matrix:
     return gates[0]
 
 
+def _word_product(table: _EigTable, gen: np.ndarray, tau: np.ndarray, reps: int = 1) -> Matrix:
+    """Product of a word repeated reps times, first gate leftmost; repeats are not stored."""
+    out = np.eye(table.lam.shape[1], dtype=complex)
+    for lo in range(0, reps * len(gen), _CHUNK):
+        k = np.arange(lo, min(lo + _CHUNK, reps * len(gen))) % len(gen)
+        out = out @ _chunk_product(table, gen[k], tau[k])
+    return out
+
+
 def evaluate(seq, gens: GeneratorSet) -> Matrix:
     """Ordered product of the sequence gates, first item leftmost.
 
-    Evaluated in chunks of _CHUNK gates, each reduced by pairwise products.
+    Streamed in chunks of _CHUNK gates, each reduced by pairwise products.
     """
     items = seq.items if isinstance(seq, GateSequence) else seq
+    table = _eig_table(gens)
     out = np.eye(gens.dim, dtype=complex)
     rest = iter(items)
     while chunk := list(islice(rest, _CHUNK)):
-        out = out @ _chunk_product(_eig_table(gens), chunk)
+        ids, taus = zip(*chunk)
+        try:
+            gen = np.fromiter(map(table.index.__getitem__, ids), dtype=np.intp, count=len(ids))
+        except KeyError as exc:
+            raise UnknownGeneratorError(exc.args[0]) from None
+        out = out @ _chunk_product(table, gen, np.array(taus, dtype=float))
     return out
 
 
@@ -268,8 +277,8 @@ def _word_template(basis: LieBasis, idx: int, negative: bool) -> _WordTemplate:
 
 
 def _slice_items(coords: np.ndarray, basis: LieBasis, slices: int,
-                 gens: GeneratorSet, cfg: CompileConfig) -> list[tuple[str, float]]:
-    """One slice's word: each coordinate's template word, wrapped and clipped.
+                 gens: GeneratorSet, cfg: CompileConfig) -> tuple[np.ndarray, np.ndarray]:
+    """One slice's word as (table rows, angles): template words, wrapped and clipped.
 
     Angles are reduced by their generator's period and oversized ones are
     split into equal parts; both moves leave the evaluated product unchanged.
@@ -289,7 +298,7 @@ def _slice_items(coords: np.ndarray, basis: LieBasis, slices: int,
         gen_parts.append(template.gen)
         tau_parts.append(template.angles(theta))
     if not gen_parts:
-        return []
+        return np.empty(0, dtype=np.intp), np.empty(0)
     gen = np.concatenate(gen_parts)
     tau = np.concatenate(tau_parts)
     row = rows[gen]
@@ -304,21 +313,16 @@ def _slice_items(coords: np.ndarray, basis: LieBasis, slices: int,
     # one part for every angle within the clip
     parts = np.ceil(np.abs(tau) / cfg.tau_clip)
     counts = parts.astype(np.intp)
-    return list(zip(np.repeat(table.ids[row], counts).tolist(),
-                    np.repeat(tau / parts, counts).tolist()))
-
-
-def _slice_power(slice_items, gens: GeneratorSet, slices: int) -> Matrix:
-    v = evaluate(slice_items, gens)
-    return np.linalg.matrix_power(v, slices)
+    return np.repeat(row, counts), np.repeat(tau / parts, counts)
 
 
 # ---------------------------------------------------------------------------
 # compilation
 # ---------------------------------------------------------------------------
 
-# fixed-point refinement iterations per compile
+# fixed-point refinement iterations per compile; slice cap of the target-error mode
 _REFINE_MAX_ITER = 60
+_MAX_SLICES = 4096
 
 
 def _traceless(a: Matrix) -> Matrix:
@@ -326,8 +330,7 @@ def _traceless(a: Matrix) -> Matrix:
     return a - (np.trace(a) / n) * np.eye(n, dtype=complex)
 
 
-def _refine_coords(u: Matrix, coords: np.ndarray, basis: LieBasis,
-                   gens: GeneratorSet, slices: int, cfg: CompileConfig) -> np.ndarray:
+def _refine_coords(plan: _Plan, slices: int) -> np.ndarray:
     """Fixed-point coordinate solve against the realised slice product.
 
     Compares logarithms in the algebra frame (target coordinates against
@@ -336,9 +339,11 @@ def _refine_coords(u: Matrix, coords: np.ndarray, basis: LieBasis,
     always the best one.
     """
     floor = 1e-11
+    u, coords, basis, gens, cfg = plan.root, plan.coords, plan.basis, plan.gens, plan.cfg
 
     def product_for(c):
-        return _slice_power(_slice_items(c, basis, slices, gens, cfg), gens, slices)
+        word = _word_product(_eig_table(gens), *_slice_items(c, basis, slices, gens, cfg))
+        return np.linalg.matrix_power(word, slices)
 
     c = coords
     v = product_for(c)
@@ -364,70 +369,65 @@ def _refine_coords(u: Matrix, coords: np.ndarray, basis: LieBasis,
     return c
 
 
-def _compile_fixed(u: Matrix, gens: GeneratorSet, basis: LieBasis,
-                   slices: int, cfg: CompileConfig,
-                   _split_done: bool = False) -> GateSequence:
-    n = gens.dim
-    phases, _ = unitary_eig(u)
-    if not _split_done and np.any(math.pi - np.abs(phases) < DEFAULTS.branch_warn_margin):
+class _Plan(NamedTuple):
+    """What a compile needs that does not depend on the slice count."""
+    target: Matrix
+    root: Matrix          # the target, or its principal square root if copies == 2
+    copies: int           # times the root's word is emitted
+    coords: np.ndarray    # coordinates of the root's traceless logarithm
+    needed: bool          # whether any coordinate is realised
+    gens: GeneratorSet
+    basis: LieBasis
+    cfg: CompileConfig
+
+
+def _plan(u, gens: GeneratorSet, basis: LieBasis, cfg: CompileConfig) -> _Plan:
+    """Check the target and read off its coordinates, once per compile."""
+    m = as_matrix(u)
+    if m.shape[0] != gens.dim or m.shape[0] != basis.matrix_dim:
+        raise DimensionMismatchError(
+            f"target dimension {m.shape[0]} does not match generators ({gens.dim})"
+        )
+    if not is_unitary(m):
+        raise MatrixPropertyError("compile requires a unitary target")
+    phases, _ = unitary_eig(m)
+    copies, root = 1, m
+    if np.any(math.pi - np.abs(phases) < DEFAULTS.branch_warn_margin):
         # compile the principal square root and emit it twice, avoiding the
         # logarithm discontinuity at eigenphase pi
-        root = principal_sqrt_unitary(u)
-        half = _compile_fixed(root, gens, basis, slices, cfg, _split_done=True)
-        items = half.items + half.items
-        realised = evaluate(items, gens)
-        frob, phase_inv = error_metrics(u, realised)
-        return GateSequence(
-            items,
-            n,
-            {
-                "frob_error": frob,
-                "phase_invariant_error": phase_inv,
-                "slice_count": 2 * slices,
-                "gate_count": len(items),
-                "square_root_split": True,
-            },
-        )
-
+        copies, root = 2, principal_sqrt_unitary(m)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BranchCutWarning)
-        log = logm_unitary(u)
-    log0 = _traceless(log)
-    res = membership(log0, basis)
+        log = logm_unitary(root)
+    res = membership(_traceless(log), basis)
     if not res.member:
-        raise NotMemberError(
-            res.residual,
-            f"target logarithm lies outside the generated algebra "
-            f"(residual {res.residual:.6g})",
-        )
+        raise NotMemberError(res.residual, "target logarithm lies outside the generated "
+                             f"algebra (residual {res.residual:.6g})")
     needed = [j for j, c in enumerate(res.coefficients) if abs(c) >= 1e-14]
     max_depth = max((basis.depth(j) for j in needed), default=0)
     if max_depth > cfg.max_commutator_depth:
-        raise DepthExhaustedError(
-            f"recipe depth {max_depth} exceeds configured maximum "
-            f"{cfg.max_commutator_depth}"
-        )
+        raise DepthExhaustedError(f"recipe depth {max_depth} exceeds configured maximum "
+                                  f"{cfg.max_commutator_depth}")
+    return _Plan(m, root, copies, res.coefficients, bool(needed), gens, basis, cfg)
 
-    coords = res.coefficients
-    if cfg.refine and needed:
-        coords = _refine_coords(u, coords, basis, gens, slices, cfg)
 
-    slice_items = _slice_items(coords, basis, slices, gens, cfg)
-    items = slice_items * slices
+def _compile_at(plan: _Plan, slices: int) -> tuple[np.ndarray, np.ndarray, int, dict]:
+    """One slice count's word, a unit of table rows and angles repeated reps times."""
+    gens, basis, cfg = plan.gens, plan.basis, plan.cfg
+    coords = _refine_coords(plan, slices) if cfg.refine and plan.needed else plan.coords
+    gen, tau = _slice_items(coords, basis, slices, gens, cfg)
+    reps = slices * plan.copies
     if cfg.merge:
-        items = merge_adjacent(items)
-    realised = evaluate(items, gens)
-    frob, phase_inv = error_metrics(u, realised)
-    return GateSequence(
-        items,
-        n,
-        {
-            "frob_error": frob,
-            "phase_invariant_error": phase_inv,
-            "slice_count": slices,
-            "gate_count": len(items),
-        },
-    )
+        # runs merge across slices, not across the two copies of a root
+        merged = merge_adjacent(list(zip(gen.tolist(), tau.tolist())) * slices)
+        gen, tau = np.array([g for g, _ in merged], dtype=np.intp), np.array([t for _, t in merged])
+        reps = plan.copies
+    frob, phase_inv = error_metrics(plan.target, _word_product(_eig_table(gens), gen, tau, reps))
+    report = {"frob_error": frob, "phase_invariant_error": phase_inv,
+              "slice_count": plan.copies * slices, "gate_count": reps * len(gen)}
+    if plan.copies == 2:
+        report["square_root_split"] = True
+    return gen, tau, reps, report
 
 
 def compile(u, gens: GeneratorSet, basis: LieBasis,
@@ -436,36 +436,26 @@ def compile(u, gens: GeneratorSet, basis: LieBasis,
 
     The target's principal logarithm must lie in the basis span up to a
     global phase, otherwise NotMemberError carries the off-span residual.
-    When cfg.target_error is set the slice count is doubled until the
-    phase-invariant error reaches the target or stops improving; the error
-    actually achieved is always reported, never promised.
+    When cfg.target_error is set the slice count doubles until the
+    phase-invariant error reaches the target or _MAX_SLICES slices are
+    reached, even where the error grows; the best word is returned, and the
+    error actually achieved is always reported, never promised.
     """
     cfg = cfg or CompileConfig()
-    m = as_matrix(u)
-    if m.shape[0] != gens.dim or m.shape[0] != basis.matrix_dim:
-        raise DimensionMismatchError(
-            f"target dimension {m.shape[0]} does not match generators ({gens.dim})"
-        )
-    if not is_unitary(m):
-        raise MatrixPropertyError("compile requires a unitary target")
-
-    if cfg.target_error is None:
-        return _compile_fixed(m, gens, basis, cfg.slices, cfg)
-
-    best: GateSequence | None = None
+    plan = _plan(u, gens, basis, cfg)
     slices = cfg.slices
-    while True:
-        seq = _compile_fixed(m, gens, basis, slices, cfg)
-        if best is None or seq.report["phase_invariant_error"] < best.report["phase_invariant_error"]:
-            best = seq
-        if best.report["phase_invariant_error"] <= cfg.target_error or slices >= 4096:
-            break
-        slices *= 2
-    best.report["target_error"] = cfg.target_error
-    best.report["target_error_met"] = bool(
-        best.report["phase_invariant_error"] <= cfg.target_error
-    )
-    return best
+    gen, tau, reps, report = _compile_at(plan, slices)
+    if cfg.target_error is not None:
+        while report["phase_invariant_error"] > cfg.target_error and slices < _MAX_SLICES:
+            slices *= 2
+            word = _compile_at(plan, slices)
+            if word[3]["phase_invariant_error"] < report["phase_invariant_error"]:
+                gen, tau, reps, report = word
+        report["target_error"] = cfg.target_error
+        report["target_error_met"] = bool(report["phase_invariant_error"] <= cfg.target_error)
+    # the repeats share the unit's (id, tau) tuples: one pointer per further gate
+    items = list(zip(_eig_table(gens).ids[gen].tolist(), tau.tolist())) * reps
+    return GateSequence(items, gens.dim, report)
 
 
 def compile_report(u, gens: GeneratorSet, basis: LieBasis,
@@ -478,15 +468,18 @@ def compile_report(u, gens: GeneratorSet, basis: LieBasis,
     """
     cfg = cfg or CompileConfig()
     m_values = DEFAULTS.m_sweep if m_values is None else tuple(m_values)
+    if any(m < 1 for m in m_values):
+        raise ValueError("slices must be at least 1")
+    plan = _plan(u, gens, basis, cfg)
     rows = []
     for m in m_values:
-        seq = compile(u, gens, basis, replace(cfg, slices=m, target_error=None))
+        report = _compile_at(plan, m)[3]
         rows.append(
             {
                 "slices": m,
-                "frob_error": seq.report["frob_error"],
-                "phase_invariant_error": seq.report["phase_invariant_error"],
-                "gate_count": seq.report["gate_count"],
+                "frob_error": report["frob_error"],
+                "phase_invariant_error": report["phase_invariant_error"],
+                "gate_count": report["gate_count"],
             }
         )
     monotone = True

@@ -377,14 +377,15 @@ def _u_dim(n: int, l: int) -> int:
 class Family:
     """A registry entry.  `build(n, l)` calls its constructor by module-global
     name, so a wrapper bound on this module sees the call; `pinned` maps each
-    parameter the family does not read to the one value it accepts;
-    `predicted(n, l)` is the published closure dimension and `relations`
-    the checks of the defining relations, where the family has them.
+    parameter the family does not read to its one value, `least` every
+    parameter to its smallest value; `predicted(n, l)` is the published
+    closure dimension and `relations` the defining-relation checks, if any.
     """
     build: Callable[[int, int], GeneratorSet]
     pinned: dict[str, int] = field(default_factory=dict)
     predicted: Callable[[int, int], int] | None = None
     relations: Callable | None = None
+    least: dict[str, int] = field(default_factory=lambda: {"n": 1, "l": 2})
 
 
 # the family registry, in the order the CLI lists its choices
@@ -399,10 +400,10 @@ FAMILIES = {
                             relations=_anticommutation("gamma_anticommutation", -1.0)),
     "clifford_plus_u": Family(lambda n, l: clifford_plus_u(n), {"l": 2}, _u_dim),
     "clifford_two_local": Family(lambda n, l: two_local_clifford_set(n), {"l": 2}, _u_dim,
-                                 _two_local_relations),
+                                 _two_local_relations, {"n": 2, "l": 2}),
     "torus_splits": Family(lambda n, l: torus_split_set(n, l), {}, _u_dim),
     "torus_two_local": Family(lambda n, l: two_local_torus_set(n, l), {}, _u_dim,
-                              _two_local_relations),
+                              _two_local_relations, {"n": 2, "l": 2}),
 }
 
 

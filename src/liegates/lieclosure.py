@@ -236,7 +236,7 @@ def predicted_dimension(label: str, n: int, l: int) -> int:
 
 
 def build_family(label: str, n: int, l: int = 2) -> GeneratorSet:
-    """Build a registered family; a pinned parameter accepts only its value."""
+    """Build a registered family, refusing pinned or out-of-range n and l."""
     family = _BUILDERS.get(label)
     if family is None:
         raise ValueError(f"unknown family {label!r}")
@@ -245,6 +245,9 @@ def build_family(label: str, n: int, l: int = 2) -> GeneratorSet:
             raise ParameterMismatchError(
                 f"family {label!r} takes only {name} = {family.pinned[name]}, got {given}"
             )
+        if given < family.least[name]:
+            raise ValueError(f"family {label!r} needs {name} >= {family.least[name]}, "
+                             f"got {name} = {given}")
     return family.build(n, l)
 
 
@@ -263,11 +266,10 @@ def dimension_table(
     """
     rows = []
     cases: list[tuple[str, int, int]] = []
-    for label in ("clifford_full", "clifford_plus_u"):
-        cases += [(label, n, 2) for n in range(1, max_n + 1)]
-    cases += [("clifford_two_local", n, 2) for n in range(2, max_n + 1)]
-    cases += [("torus_splits", n, l) for n, l in torus_cases]
-    cases += [("torus_two_local", n, l) for n, l in torus_cases if n >= 2]
+    for label, family in _BUILDERS.items():
+        # a family with l pinned sweeps n, the others take the torus cases
+        grid = [(n, 2) for n in range(1, max_n + 1)] if family.pinned else torus_cases
+        cases += [(label, n, l) for n, l in grid if family.predicted and n >= family.least["n"]]
     for label, n, l in cases:
         if families and label not in families:
             continue

@@ -121,6 +121,8 @@ def span_dimension(l: int, n: int, cap: int | None = None,
     Computed as the rank of the Gram matrix of the vectorised monomials,
     counting eigenvalues above the threshold.
     """
+    if l < 2 or n < 1:
+        raise ValueError(f"span needs l >= 2 and n >= 1, got l = {l}, n = {n}")
     cap = DEFAULTS.dim_cap if cap is None else cap
     rank_tol = DEFAULTS.span_rank_tol if rank_tol is None else rank_tol
     if l**n > cap:

@@ -145,17 +145,26 @@ def test_eigensolver_failure_exits_1(capsys, monkeypatch):
     assert json.loads(err)["error"]["type"] == "numerical"
 
 
-@pytest.mark.parametrize("argv", [
-    ["closure", "--family", "clifford_two_local", "--n", "1"],
-    ["gens", "--family", "weyl", "--l", "1"],
-    ["span", "--l", "1", "--n", "1"],
-    ["compile", "--family", "clifford_two_local", "--n", "2", "--slices", "0"],
-])
-def test_out_of_range_value_exits_2(capsys, argv):
+OUT_OF_RANGE = [
+    (["closure", "--family", "clifford_two_local", "--n", "1"],
+     "family 'clifford_two_local' needs n >= 2, got n = 1"),
+    (["gens", "--family", "weyl", "--l", "1"], "family 'weyl' needs l >= 2, got l = 1"),
+    (["span", "--l", "1", "--n", "1"], "span needs l >= 2 and n >= 1, got l = 1, n = 1"),
+    (["compile", "--family", "clifford_two_local", "--n", "2", "--slices", "0"],
+     "slices must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", OUT_OF_RANGE,
+                         ids=[f"argv{k}" for k in range(len(OUT_OF_RANGE))])
+def test_out_of_range_value_exits_2(capsys, argv, message):
+    # the message names the parameter, its bound and the value given
     code, out, err = run_json(capsys, argv)
     assert code == 2
     assert out == ""
-    assert json.loads(err)["error"]["type"] == "validation"
+    error = json.loads(err)["error"]
+    assert error["type"] == "validation"
+    assert message in error["message"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from liegates import compiler as compiler_mod
 from liegates.compiler import (
     _CHUNK,
     CompileConfig,
@@ -228,6 +229,39 @@ def test_target_error_mode(two_local):
     assert seq.report["phase_invariant_error"] <= 1e-6
 
 
+def test_target_analysed_once_per_call(two_local, monkeypatch):
+    # every slice count of a sweep or a target-error climb shares one analysis
+    gens, basis = two_local
+    calls = []
+    sqrt = compiler_mod.principal_sqrt_unitary
+    monkeypatch.setattr(compiler_mod, "principal_sqrt_unitary",
+                        lambda u: calls.append(1) or sqrt(u))
+    compile_report(CNOT, gens, basis, (1, 2, 4, 8))
+    assert len(calls) == 1
+    calls.clear()
+    seq = compile(CNOT, gens, basis, CompileConfig(target_error=1e-12))
+    assert seq.report["slice_count"] > 2   # the climb compiled several slice counts
+    assert len(calls) == 1
+
+
+def test_eigenphases_at_the_branch_cut_split(two_local):
+    # targets with eigenphases at +pi or just above -pi compile their
+    # principal square root and emit its word twice
+    gens, basis = two_local
+    rng = np.random.default_rng(11)
+    for seed in range(24):
+        phases = rng.uniform(-np.pi, np.pi, size=4)
+        phases[:1 + seed % 2] = np.pi if seed % 4 < 2 else -np.pi + 1e-9
+        w = random_unitary(4, rng)
+        u = (w * np.exp(1j * phases)) @ w.conj().T
+        seq = compile(u, gens, basis, CompileConfig(slices=8))
+        half = len(seq.items) // 2
+        assert seq.report["square_root_split"] is True
+        assert seq.report["slice_count"] == 16
+        assert seq.items[:half] == seq.items[half:]
+        assert seq.report["phase_invariant_error"] <= 1e-8
+
+
 def test_merge_preserves_product(two_local):
     gens, _ = two_local
     rng = np.random.default_rng(8)
@@ -329,5 +363,7 @@ def test_slice_items_match_recursive_realisation():
                     if abs(c) >= 1e-14:
                         _realize(basis, j, float(c) / slices, ref)
                 ref = _wrap_and_clip(ref, gens, cfg.tau_clip, hits)
-                assert _slice_items(coords, basis, slices, gens, cfg) == ref
+                rows, taus = _slice_items(coords, basis, slices, gens, cfg)
+                ids = _eig_table(gens).ids
+                assert list(zip(ids[rows].tolist(), taus.tolist())) == ref
     assert hits["wrap"] > 0 and hits["clip"] > 0
