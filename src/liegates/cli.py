@@ -149,11 +149,16 @@ def _target_matrix(args, dim: int) -> np.ndarray:
 
 
 def _cmd_compile(args) -> dict:
+    if args.sweep is not None:
+        for flag, given in (("--target-error", args.target_error), ("--slices", args.slices)):
+            if given is not None:
+                raise ValueError(f"{flag} does not apply to --sweep, which takes its slice "
+                                 "counts as arguments")
     gens = build_family(args.family, args.n, args.l)
     basis = closure(gens)
     target = _target_matrix(args, gens.dim)
     cfg = CompileConfig(
-        slices=args.slices,
+        slices=1 if args.slices is None else args.slices,
         max_commutator_depth=args.max_depth,
         target_error=args.target_error,
         tau_clip=args.tau_clip,
@@ -312,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default="random",
                    help="identity, cnot, random, or use --target-file")
     p.add_argument("--target-file", default=None)
-    p.add_argument("--slices", type=int, default=1)
+    p.add_argument("--slices", type=int, default=None, help="default 1")
     p.add_argument("--max-depth", type=int, default=8)
     p.add_argument("--target-error", type=float, default=None)
     p.add_argument("--tau-clip", type=float, default=DEFAULTS.tau_clip)

@@ -464,24 +464,20 @@ def compile_report(u, gens: GeneratorSet, basis: LieBasis,
     """Phase-invariant error for each slice count in a doubling sweep.
 
     The monotone flag allows ten percent slack and ignores noise once both
-    errors sit below 1e-8.
+    errors sit below 1e-8.  As in the report of compile, a row carries
+    square_root_split when the target was split into two copies of its
+    principal square root; its gate_count is then that of 2 * slices slices.
     """
     cfg = cfg or CompileConfig()
     m_values = DEFAULTS.m_sweep if m_values is None else tuple(m_values)
     if any(m < 1 for m in m_values):
         raise ValueError("slices must be at least 1")
     plan = _plan(u, gens, basis, cfg)
+    keys = ("frob_error", "phase_invariant_error", "gate_count", "square_root_split")
     rows = []
     for m in m_values:
         report = _compile_at(plan, m)[3]
-        rows.append(
-            {
-                "slices": m,
-                "frob_error": report["frob_error"],
-                "phase_invariant_error": report["phase_invariant_error"],
-                "gate_count": report["gate_count"],
-            }
-        )
+        rows.append({"slices": m, **{k: report[k] for k in keys if k in report}})
     monotone = True
     for prev, cur in zip(rows, rows[1:]):
         a, b = prev["phase_invariant_error"], cur["phase_invariant_error"]

@@ -1,8 +1,12 @@
 """Real Lie algebra generated by anti-Hermitian matrices under commutators.
 
 The closure engine runs a breadth-first commutator sweep: the generators
-form generation 0, then every newest element is commuted with every basis
-element and the commutators that leave the current span join the basis.
+form generation 0, then every newest element is commuted with every
+earlier basis element and the commutators that leave the current span
+join the basis.  The commutators of one newest element are formed and
+projected on the frame as one batch; only those leaving it by more than
+half the admission threshold are recomputed and decided one at a time,
+and the sweep stops as soon as the frame spans su(N).
 Each element carries a recipe, a binary commutator tree over primitive
 generator ids plus one real scale, which the compiler later realises as
 nested group-commutator words.
@@ -120,6 +124,10 @@ class LieBasis:
         return max(self.recipe_residual(i, cache) for i in range(self.dim))
 
 
+# commutator rows per stacked product in the candidate filter of closure
+_BLOCK = 64
+
+
 def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
     """Breadth-first commutator closure of an anti-Hermitian generator set.
 
@@ -128,8 +136,16 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
     c/|c|; its residual, after a double Gram-Schmidt pass, joins the
     orthonormal frame, and its frame coordinates are recorded.  The basis
     is orthonormal exactly when the tree values are mutually orthogonal
-    (all qubit families and the torus at (1, 3)).  The sweep terminates
-    when nothing is admitted or the ambient dimension is reached.
+    (all qubit families and the torus at (1, 3)).
+
+    Per frontier element b_j, the commutators [b_i, b_j], i < j, are
+    formed in stacked blocks of at most 64 and projected on the frame in
+    two matrix products.  One whose residual is at most thresh/2 is
+    dropped, since the frame only grows; the others, in i order, are
+    recomputed with commutator and decided as above, so the result is that
+    of deciding every pair in turn.  The sweep terminates when nothing is
+    admitted, the ambient dimension is reached, or the frame holds N^2 - 1
+    rows that leave out only the centre direction i*I (su(N) is spanned).
     Deterministic for a fixed generator order.
     """
     tol = DEFAULTS.closure_tol if tol is None else tol
@@ -176,19 +192,60 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
         out.generations.append(generation)
         return True
 
+    half = thresh / 2
+    centre = (1j / np.sqrt(n_dim) * np.eye(n_dim)).reshape(-1).view(float)
+
+    def spanned() -> bool:
+        """Whether no commutator can join any more.
+
+        True once the frame fills the ambient algebra, or holds N^2 - 1 rows
+        that leave out only the centre direction z = i*I/sqrt(N): a
+        commutator c is traceless, orthogonal to z, so its residual is
+        |c| |frame . z| to first order, and |c| <= 2 for unit b_i, b_j.
+        """
+        k = out.dim
+        if k == cap - 1:
+            return 2 * np.linalg.norm(flat[:k] @ centre) <= half
+        return k >= cap
+
+    def candidates(j: int) -> list[int]:
+        """The i < j whose [b_i, b_j] leaves the current frame by more than thresh/2.
+
+        The frame only grows, so a commutator dropped here would be refused
+        by admit now and at any later point of the sweep.
+        """
+        f = flat[:out.dim]
+        bj = out.basis[j]
+        keep: list[int] = []
+        for lo in range(0, j, _BLOCK):
+            b = np.stack(out.basis[lo:min(lo + _BLOCK, j)])
+            c = (b @ bj - bj @ b).reshape(len(b), -1).view(float)
+            res = np.linalg.norm(c - (c @ f.T) @ f, axis=1)
+            # a non-finite commutator goes to admit unfiltered
+            leaves = ~np.isfinite(c).all(axis=1) | (res > half)
+            keep += (lo + np.flatnonzero(leaves)).tolist()
+        return keep
+
+    def pairs(frontier: list[int]):
+        # candidates(j) runs when the sweep reaches j, against the frame then
+        for j in frontier:
+            for i in candidates(j):
+                yield i, j
+
     for el in gens.elements:
         admit(as_matrix(el.matrix), Recipe("leaf", gen_id=el.id), 0)
 
     frontier = list(range(out.dim))
     generation = 0
-    while frontier and out.dim < cap:
+    while frontier and not spanned():
         generation += 1
         admitted: list[int] = []
-        for j in frontier:
-            for i in range(j):
-                c = commutator(out.basis[i], out.basis[j])
-                if admit(c, Recipe("comm", left=i, right=j), generation):
-                    admitted.append(out.dim - 1)
+        for i, j in pairs(frontier):
+            c = commutator(out.basis[i], out.basis[j])
+            if admit(c, Recipe("comm", left=i, right=j), generation):
+                admitted.append(out.dim - 1)
+                if spanned():
+                    break
         frontier = admitted
 
     out.frame = buf[:out.dim].copy()

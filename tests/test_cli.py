@@ -215,6 +215,34 @@ def test_compile_bare_sweep_runs_default_slices(capsys):
     assert [r["slices"] for r in data["sweep"]] == [1, 2, 4, 8, 16, 32, 64]
 
 
+@pytest.mark.parametrize("flag", [["--target-error", "1e-6"], ["--slices", "5"], ["--slices", "1"]])
+def test_compile_sweep_refuses_flags_it_ignores(capsys, flag):
+    code, out, err = run_json(
+        capsys,
+        ["compile", "--family", "clifford_two_local", "--n", "2",
+         "--target", "cnot", "--sweep", "1", "2", *flag],
+    )
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "validation"
+    assert flag[0] in error["message"]
+
+
+@pytest.mark.parametrize("target, split", [("cnot", True), ("random", False)])
+def test_compile_sweep_rows_show_square_root_split(capsys, target, split):
+    base = ["compile", "--family", "clifford_two_local", "--n", "2", "--target", target]
+    code, out, _ = run_json(capsys, base + ["--sweep", "1", "2"])
+    assert code == 0
+    rows = json.loads(out)["sweep"]
+    for row in rows:
+        code, out, _ = run_json(capsys, base + ["--slices", str(row["slices"])])
+        report = json.loads(out)["report"]
+        assert row["gate_count"] == report["gate_count"]
+        assert row.get("square_root_split") == report.get("square_root_split")
+        assert ("square_root_split" in row) == split
+
+
 # (n, l) per label where the default (2, 2) is not the interesting case
 REGISTRY_SIZES = {"pauli": (1, 2), "weyl": (1, 3), "tau": (1, 3), "torus_full": (2, 3),
                   "torus_splits": (1, 3), "torus_two_local": (2, 3)}

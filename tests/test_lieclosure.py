@@ -1,9 +1,13 @@
 import tracemalloc
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 import liegates.generators as gen_mod
+import liegates.lieclosure as lieclosure_mod
+from liegates.config import DEFAULTS
 from liegates.errors import DimensionMismatchError, MatrixPropertyError
 from liegates.generators import (
     GeneratorSet,
@@ -17,6 +21,8 @@ from liegates.generators import (
 )
 from liegates.lieclosure import (
     _BUILDERS,
+    LieBasis,
+    Recipe,
     build_family,
     closure,
     dimension_table,
@@ -24,7 +30,7 @@ from liegates.lieclosure import (
     predicted_dimension,
     spin_subgroup_check,
 )
-from liegates.linalg import frob_inner, frob_norm, is_anti_hermitian, tensor
+from liegates.linalg import as_matrix, commutator, frob_inner, frob_norm, is_anti_hermitian, tensor
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -121,13 +127,16 @@ def test_closure_invariant_under_gl_recombination():
     assert closure(mixed_set).dim == 10
 
 
-def test_closure_accepts_real_generators():
-    # real antisymmetric rotation generators close on so(3)
+def _so3():
+    # real antisymmetric rotation generators
     lx = np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=float)
     ly = np.array([[0, 0, 1], [0, 0, 0], [-1, 0, 0]], dtype=float)
-    gens = GeneratorSet("so3", 1, 3, [Generator("Lx", lx, 1, "anti_hermitian"),
+    return GeneratorSet("so3", 1, 3, [Generator("Lx", lx, 1, "anti_hermitian"),
                                       Generator("Ly", ly, 1, "anti_hermitian")])
-    basis = closure(gens)
+
+
+def test_closure_accepts_real_generators():
+    basis = closure(_so3())
     assert basis.dim == 3
     assert basis.max_recipe_residual() <= 1e-12
 
@@ -283,3 +292,128 @@ def test_spin_subgroup_check(n, expected):
     assert report["gamma_count"] + report["pair_count"] == expected
     assert report["span_match"]
     assert report["ok"]
+
+
+# ---------------------------------------------------------------------------
+# the batched sweep against the all-pairs reference
+# ---------------------------------------------------------------------------
+
+def _all_pairs_closure(gens, tol=None):
+    """Reference closure: every pair i < j of a generation decided in turn."""
+    tol = DEFAULTS.closure_tol if tol is None else tol
+    n_dim = gens.dim
+    thresh = tol * n_dim
+    cap = n_dim * n_dim
+    buf = np.empty((len(gens.elements), n_dim, n_dim), dtype=complex)
+    flat = buf.reshape(len(buf), -1).view(float)
+    cols = []
+    out = LieBasis(matrix_dim=n_dim,
+                   generator_matrices={el.id: el.matrix for el in gens.elements})
+
+    def admit(c, recipe, generation):
+        nonlocal buf, flat
+        k = out.dim
+        norm_c = frob_norm(c)
+        if norm_c <= thresh:
+            return False
+        r, coeffs = c, np.zeros(k)
+        for _ in range(2):
+            step = flat[:k] @ r.reshape(-1).view(float)
+            r = r - (step @ flat[:k]).view(complex).reshape(c.shape)
+            coeffs += step
+        norm_r = frob_norm(r)
+        if norm_r <= thresh:
+            return False
+        b = c / norm_c
+        if k == len(buf):
+            buf = np.resize(buf, (2 * k, n_dim, n_dim))
+            flat = buf.reshape(2 * k, -1).view(float)
+        buf[k] = r / norm_r
+        cols.append(np.append(coeffs, norm_r) / norm_c)
+        out.basis.append(b)
+        out.recipes.append(replace(recipe, coeff=frob_inner(b, c)))
+        out.generations.append(generation)
+        return True
+
+    for el in gens.elements:
+        admit(as_matrix(el.matrix), Recipe("leaf", gen_id=el.id), 0)
+    frontier = list(range(out.dim))
+    generation = 0
+    while frontier and out.dim < cap:
+        generation += 1
+        admitted = []
+        for j in frontier:
+            for i in range(j):
+                c = commutator(out.basis[i], out.basis[j])
+                if admit(c, Recipe("comm", left=i, right=j), generation):
+                    admitted.append(out.dim - 1)
+        frontier = admitted
+    out.frame = buf[:out.dim].copy()
+    out.tri = np.zeros((out.dim, out.dim))
+    for m, col in enumerate(cols):
+        out.tri[:m + 1, m] = col
+    return out
+
+
+def _with_centre(gens):
+    # one generator carrying a trace: the closure must reach u(N), not stop at su(N)
+    centre = Generator("C", 1j * np.eye(gens.dim), gens.n, "anti_hermitian")
+    return GeneratorSet("with_centre", gens.n, gens.l, list(gens.elements) + [centre])
+
+
+# the rows of dimension_table(max_n=3), then su(16)
+TABLE_ROWS = [
+    ("clifford_full", 1, 2), ("clifford_full", 2, 2), ("clifford_full", 3, 2),
+    ("clifford_plus_u", 1, 2), ("clifford_plus_u", 2, 2), ("clifford_plus_u", 3, 2),
+    ("clifford_two_local", 2, 2), ("clifford_two_local", 3, 2),
+    ("torus_splits", 1, 3), ("torus_splits", 1, 4), ("torus_splits", 2, 3),
+    ("torus_two_local", 2, 3), ("clifford_plus_u", 4, 2),
+]
+ORACLE_CASES = [(f"{label}-{n}-{l}", partial(build_family, label, n, l), None)
+                for label, n, l in TABLE_ROWS] + [
+    ("clifford_plus_u-2-2-with-centre", lambda: _with_centre(clifford_plus_u(2)), None),
+    ("clifford_plus_u-2-2-tol-1e-3", lambda: clifford_plus_u(2), 1e-3),
+    ("torus_splits-2-3-tol-1e-3", lambda: torus_split_set(2, 3), 1e-3),
+    ("so3", _so3, None),
+]
+
+
+def test_oracle_rows_are_the_dimension_table():
+    rows = [(r["family"], r["n"], r["l"]) for r in dimension_table(max_n=3)]
+    assert rows + [("clifford_plus_u", 4, 2)] == TABLE_ROWS
+
+
+@pytest.mark.parametrize("make, tol", [case[1:] for case in ORACLE_CASES],
+                         ids=[case[0] for case in ORACLE_CASES])
+def test_batched_sweep_matches_all_pairs_reference(make, tol):
+    gens = make()
+    got, want = closure(gens, tol=tol), _all_pairs_closure(gens, tol=tol)
+    assert got.dim == want.dim
+    assert all(np.array_equal(x, y) for x, y in zip(got.basis, want.basis))
+    assert np.array_equal(got.frame, want.frame)
+    assert np.array_equal(got.tri, want.tri)
+    assert got.recipes == want.recipes
+    assert all(type(r.left) is type(s.left) for r, s in zip(got.recipes, want.recipes))
+    assert got.generations == want.generations
+
+
+def test_traced_generator_closes_on_u_n():
+    basis = closure(_with_centre(clifford_plus_u(2)))
+    assert basis.dim == 16
+    assert membership(1j * np.eye(4), basis).member
+
+
+def test_exact_commutators_bounded_by_admissions(monkeypatch):
+    # the all-pairs sweep recomputed 1953 commutators for 56 admitted
+    calls = []
+    orig = lieclosure_mod.commutator
+
+    def counting(a, b):
+        calls.append(1)
+        return orig(a, b)
+
+    monkeypatch.setattr(lieclosure_mod, "commutator", counting)
+    basis = closure(clifford_plus_u(3))
+    admitted = basis.dim - basis.generations.count(0)
+    assert admitted == 56
+    assert len(calls) <= 2 * admitted
