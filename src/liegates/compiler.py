@@ -23,7 +23,7 @@ square-root split at the branch cut, logarithm, coordinates) and
 Words stay arrays of generator table rows and angles, multiplied 256 gates
 at a time from stacked products over each generator's cached eigenbasis;
 (id, tau) pairs are built once, for the returned GateSequence, and
-`evaluate` streams them through the same chunks.
+`evaluate` maps them back to table rows and the same chunks.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -171,20 +170,15 @@ def _word_product(table: _EigTable, gen: np.ndarray, tau: np.ndarray, reps: int 
 def evaluate(seq, gens: GeneratorSet) -> Matrix:
     """Ordered product of the sequence gates, first item leftmost.
 
-    Streamed in chunks of _CHUNK gates, each reduced by pairwise products.
+    Multiplied in chunks of _CHUNK gates, each reduced by pairwise products.
     """
-    items = seq.items if isinstance(seq, GateSequence) else seq
+    items = list(seq.items if isinstance(seq, GateSequence) else seq)
     table = _eig_table(gens)
-    out = np.eye(gens.dim, dtype=complex)
-    rest = iter(items)
-    while chunk := list(islice(rest, _CHUNK)):
-        ids, taus = zip(*chunk)
-        try:
-            gen = np.fromiter(map(table.index.__getitem__, ids), dtype=np.intp, count=len(ids))
-        except KeyError as exc:
-            raise UnknownGeneratorError(exc.args[0]) from None
-        out = out @ _chunk_product(table, gen, np.array(taus, dtype=float))
-    return out
+    try:
+        gen = np.array([table.index[gen_id] for gen_id, _ in items], dtype=np.intp)
+    except KeyError as exc:
+        raise UnknownGeneratorError(exc.args[0]) from None
+    return _word_product(table, gen, np.array([tau for _, tau in items], dtype=float))
 
 
 def merge_adjacent(items: list[tuple[str, float]]) -> list[tuple[str, float]]:

@@ -2,8 +2,10 @@
 
 The CLI overrides three of them: `closure --tol` (closure_tol),
 `compile --tau-clip` (tau_clip) and `compile --sweep` (slice counts;
-a bare --sweep runs m_sweep).  The others are fixed.  No environment
-variables are consulted.
+a bare --sweep runs m_sweep).  The others are fixed: no function takes a
+per-call override, and no environment variables are consulted.  dim_cap
+is read only by `linalg.check_capacity`, which runs before any dense
+allocation sized from input.
 """
 
 from dataclasses import dataclass
@@ -27,7 +29,7 @@ class Defaults:
     closure_tol: float = 1e-8       # admission threshold is closure_tol * dim
     membership_tol: float = 1e-8
 
-    # monomial span rank threshold (Gram eigenvalues)
+    # monomial span: largest trace of a non-identity monomial
     span_rank_tol: float = 1e-9
 
     # compiler

@@ -18,12 +18,12 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULTS
-from .errors import CapacityError, FamilyMismatchError, MatrixPropertyError
+from .errors import FamilyMismatchError, MatrixPropertyError
 from .linalg import (
     Matrix,
     anticommutator,
     as_matrix,
+    check_capacity,
     dagger,
     frob_norm,
     is_anti_hermitian,
@@ -84,12 +84,6 @@ def _hermiticity_of(m: Matrix) -> str:
     return ANTI_HERMITIAN if is_anti_hermitian(m, tol=1e-12) else UNITARY_NON_HERMITIAN
 
 
-def _check_capacity(dim: int, cap: int | None) -> None:
-    cap = DEFAULTS.dim_cap if cap is None else cap
-    if dim > cap:
-        raise CapacityError(f"matrix dimension {dim} exceeds cap {cap}")
-
-
 # ---------------------------------------------------------------------------
 # locality: number of tensor sites carrying a non-identity factor
 # ---------------------------------------------------------------------------
@@ -142,6 +136,7 @@ def weyl_pair(l: int) -> GeneratorSet:
     """Cyclic shift U and clock diagonal V with U V = zeta V U."""
     if l < 2:
         raise ValueError("weyl_pair needs l >= 2")
+    check_capacity(l)
     u = np.zeros((l, l), dtype=complex)
     for k in range(l):
         u[k, (k + 1) % l] = 1.0
@@ -171,20 +166,20 @@ def tau(l: int) -> GeneratorSet:
     return GeneratorSet("tau", 1, l, els)
 
 
-def _ladder(n: int, x: Matrix, y: Matrix, z: Matrix, prefix: str, scale: complex,
-            cap: int | None) -> list[tuple[str, Matrix, int]]:
+def _ladder(n: int, x: Matrix, y: Matrix, z: Matrix, prefix: str,
+            scale: complex) -> list[tuple[str, Matrix, int]]:
     """Site-k pair (x or y with a z tail): I^(n-k-1) (x|y) z^k, scaled."""
-    _check_capacity(x.shape[0] ** n, cap)
+    check_capacity(x.shape[0] ** n)
     eye = np.eye(x.shape[0], dtype=complex)
     out = []
     for k in range(n):
         for idx, active in ((2 * k, x), (2 * k + 1, y)):
             factors = [eye] * (n - k - 1) + [active] + [z] * k
-            out.append((f"{prefix}{idx}", scale * tensor_all(factors, cap=cap), k + 1))
+            out.append((f"{prefix}{idx}", scale * tensor_all(factors), k + 1))
     return out
 
 
-def clifford_gammas(n: int, cap: int | None = None) -> GeneratorSet:
+def clifford_gammas(n: int) -> GeneratorSet:
     """The 2n anti-Hermitian gamma generators on n qubits.
 
     Gamma_{2k} = i I^(n-k-1) sx sz^k and Gamma_{2k+1} = i I^(n-k-1) sy sz^k;
@@ -194,13 +189,12 @@ def clifford_gammas(n: int, cap: int | None = None) -> GeneratorSet:
         raise ValueError("clifford_gammas needs n >= 1")
     els = [
         Generator(gid, m, loc, ANTI_HERMITIAN)
-        for gid, m, loc in _ladder(n, SIGMA_X, SIGMA_Y, SIGMA_Z, "G", 1j, cap)
+        for gid, m, loc in _ladder(n, SIGMA_X, SIGMA_Y, SIGMA_Z, "G", 1j)
     ]
     return GeneratorSet("clifford_full", n, 2, els)
 
 
-def gamma_u(n: int, variant: str = "three", indices: tuple[int, ...] | None = None,
-            cap: int | None = None) -> Matrix:
+def gamma_u(n: int, variant: str = "three", indices: tuple[int, ...] | None = None) -> Matrix:
     """Extra element: i times a product of three or four distinct gammas.
 
     The default index choices are (0, 1, 2) and (0, 1, 2, 3); other index
@@ -215,7 +209,7 @@ def gamma_u(n: int, variant: str = "three", indices: tuple[int, ...] | None = No
         raise ValueError(f"need {count} distinct indices, got {indices}")
     if max(indices) >= 2 * n:
         raise ValueError(f"index {max(indices)} out of range for n={n}")
-    gammas = clifford_gammas(n, cap=cap)
+    gammas = clifford_gammas(n)
     mats = [gammas.elements[i].matrix for i in indices]
     out = 1j * reduce(np.matmul, mats)
     if not is_anti_hermitian(out, tol=1e-12):
@@ -223,7 +217,7 @@ def gamma_u(n: int, variant: str = "three", indices: tuple[int, ...] | None = No
     return out
 
 
-def torus_T(n: int, l: int, cap: int | None = None) -> GeneratorSet:
+def torus_T(n: int, l: int) -> GeneratorSet:
     """The 2n unitary torus generators T_k built from the tau triple.
 
     T_{2k} = I^(n-k-1) tau_x tau_z^k and T_{2k+1} = I^(n-k-1) tau_y tau_z^k.
@@ -236,15 +230,15 @@ def torus_T(n: int, l: int, cap: int | None = None) -> GeneratorSet:
     tx, ty, tz = (t.by_id(i).matrix for i in ("tx", "ty", "tz"))
     els = [
         Generator(gid, m, loc, _hermiticity_of(m))
-        for gid, m, loc in _ladder(n, tx, ty, tz, "T", 1.0, cap)
+        for gid, m, loc in _ladder(n, tx, ty, tz, "T", 1.0)
     ]
     return GeneratorSet("torus_full", n, l, els)
 
 
-def hermitian_split(t, tol: float | None = None) -> tuple[Matrix, Matrix]:
+def hermitian_split(t) -> tuple[Matrix, Matrix]:
     """Split a unitary into the anti-Hermitian pair i(T + T^dag), T - T^dag."""
     m = as_matrix(t)
-    if not is_unitary(m, tol=tol):
+    if not is_unitary(m):
         raise MatrixPropertyError("hermitian_split requires a unitary matrix")
     return 1j * (m + dagger(m)), m - dagger(m)
 
@@ -261,25 +255,25 @@ def _split_elements(raw: list[tuple[str, Matrix]], n: int, l: int) -> list[Gener
     return els
 
 
-def two_local_clifford_set(n: int, cap: int | None = None) -> GeneratorSet:
+def two_local_clifford_set(n: int) -> GeneratorSet:
     """Gamma_0, the chain products Gamma_k Gamma_{k+1} and the extra element.
 
     2n + 1 anti-Hermitian elements, each touching at most two sites.
     """
     if n < 2:
         raise ValueError("two_local_clifford_set needs n >= 2")
-    gammas = clifford_gammas(n, cap=cap)
+    gammas = clifford_gammas(n)
     mats = gammas.matrices()
     raw: list[tuple[str, Matrix]] = [("G0", mats[0])]
     raw += [(f"G{k}G{k + 1}", mats[k] @ mats[k + 1]) for k in range(2 * n - 1)]
-    raw.append(("Gu", gamma_u(n, cap=cap)))
+    raw.append(("Gu", gamma_u(n)))
     els = [
         Generator(gid, m, locality(m, n, 2), ANTI_HERMITIAN) for gid, m in raw
     ]
     return GeneratorSet("clifford_two_local", n, 2, els)
 
 
-def two_local_torus_set(n: int, l: int, cap: int | None = None) -> GeneratorSet:
+def two_local_torus_set(n: int, l: int) -> GeneratorSet:
     """Hermitian splits of T_0 and of the chain products T_k^dag T_{k+1}.
 
     Splits that vanish (possible when a product is already Hermitian or
@@ -287,33 +281,33 @@ def two_local_torus_set(n: int, l: int, cap: int | None = None) -> GeneratorSet:
     """
     if n < 2:
         raise ValueError("two_local_torus_set needs n >= 2")
-    ts = torus_T(n, l, cap=cap)
+    ts = torus_T(n, l)
     mats = ts.matrices()
     raw: list[tuple[str, Matrix]] = [("T0", mats[0])]
     raw += [(f"T{k}dT{k + 1}", dagger(mats[k]) @ mats[k + 1]) for k in range(2 * n - 1)]
     return GeneratorSet("torus_two_local", n, l, _split_elements(raw, n, l))
 
 
-def torus_split_set(n: int, l: int, cap: int | None = None) -> GeneratorSet:
+def torus_split_set(n: int, l: int) -> GeneratorSet:
     """Hermitian splits of every torus generator T_k (zero splits dropped)."""
-    raw = [(el.id, el.matrix) for el in torus_T(n, l, cap=cap).elements]
+    raw = [(el.id, el.matrix) for el in torus_T(n, l).elements]
     return GeneratorSet("torus_splits", n, l, _split_elements(raw, n, l))
 
 
-def clifford_plus_u(n: int, cap: int | None = None) -> GeneratorSet:
+def clifford_plus_u(n: int) -> GeneratorSet:
     """The gamma generators with the extra product element adjoined.
 
     At n = 1 the three-index product does not exist; the pair product
     Gamma_0 Gamma_1 (which is anti-Hermitian) is substituted and this row is
     an extension rather than part of the standard construction.
     """
-    gammas = clifford_gammas(n, cap=cap)
+    gammas = clifford_gammas(n)
     els = list(gammas.elements)
     if n == 1:
         extra = gammas.elements[0].matrix @ gammas.elements[1].matrix
         els.append(Generator("G0G1", extra, locality(extra, n, 2), ANTI_HERMITIAN))
     else:
-        extra = gamma_u(n, cap=cap)
+        extra = gamma_u(n)
         els.append(Generator("Gu", extra, locality(extra, n, 2), ANTI_HERMITIAN))
     return GeneratorSet("clifford_plus_u", n, 2, els)
 

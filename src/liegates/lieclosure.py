@@ -312,7 +312,6 @@ def dimension_table(
     max_n: int = 3,
     families: tuple[str, ...] | None = None,
     torus_cases: tuple[tuple[int, int], ...] = ((1, 3), (1, 4), (2, 3)),
-    tol: float | None = None,
 ) -> list[dict]:
     """Closure dimensions per family against the predicted formulas.
 
@@ -330,7 +329,7 @@ def dimension_table(
     for label, n, l in cases:
         if families and label not in families:
             continue
-        basis = closure(build_family(label, n, l), tol=tol)
+        basis = closure(build_family(label, n, l))
         predicted = predicted_dimension(label, n, l)
         match = basis.dim == predicted or (basis.spans_su and basis.dim + 1 == predicted)
         rows.append(
@@ -347,7 +346,7 @@ def dimension_table(
     return rows
 
 
-def spin_subgroup_check(n: int, tol: float = 1e-8) -> dict:
+def spin_subgroup_check(n: int) -> dict:
     """Verify the gamma-only closure is the expected rotation algebra.
 
     Dimension 2n^2 + n, spanned both ways by the 2n gammas and the
@@ -363,7 +362,7 @@ def spin_subgroup_check(n: int, tol: float = 1e-8) -> dict:
 
     # explicit elements inside the closure span; equal dimension then gives
     # the reverse inclusion
-    into = all(membership(m, basis, tol=tol).member for m in explicit)
+    into = all(membership(m, basis).member for m in explicit)
     rank = np.linalg.matrix_rank(np.stack(explicit).reshape(len(explicit), -1).view(float))
     back = int(rank) == basis.dim
 

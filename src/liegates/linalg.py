@@ -74,20 +74,24 @@ def is_unitary(a, tol: float | None = None) -> bool:
     return max_abs(dagger(m) @ m - eye) <= tol and max_abs(m @ dagger(m) - eye) <= tol
 
 
-def tensor(a, b, cap: int | None = None) -> Matrix:
+def check_capacity(dim: int) -> None:
+    """Refuse a dense matrix side above the cap, before anything is allocated."""
+    cap = DEFAULTS.dim_cap
+    if dim > cap:
+        raise CapacityError(f"matrix dimension {dim} exceeds cap {cap}")
+
+
+def tensor(a, b) -> Matrix:
     """Kronecker product; block (j, k) of the result is a[j, k] * b."""
     ma, mb = as_matrix(a), as_matrix(b)
-    cap = DEFAULTS.dim_cap if cap is None else cap
-    out_dim = ma.shape[0] * mb.shape[0]
-    if out_dim > cap:
-        raise CapacityError(f"tensor dimension {out_dim} exceeds cap {cap}")
+    check_capacity(ma.shape[0] * mb.shape[0])
     return np.kron(ma, mb)
 
 
-def tensor_all(factors, cap: int | None = None) -> Matrix:
+def tensor_all(factors) -> Matrix:
     out = as_matrix(factors[0])
     for f in factors[1:]:
-        out = tensor(out, f, cap=cap)
+        out = tensor(out, f)
     return out
 
 
@@ -136,7 +140,7 @@ def _canonical_columns(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def herm_eig(h, tol: float | None = None) -> tuple[np.ndarray, Matrix]:
+def herm_eig(h) -> tuple[np.ndarray, Matrix]:
     """Eigendecomposition of a Hermitian matrix by LAPACK (numpy ``eigh``).
 
     Returns (eigenvalues, eigenvectors) with eigenvalues descending and
@@ -144,7 +148,7 @@ def herm_eig(h, tol: float | None = None) -> tuple[np.ndarray, Matrix]:
     h = W diag(lam) W^dag.
     """
     m = as_matrix(h)
-    if not is_hermitian(m, tol=tol):
+    if not is_hermitian(m):
         raise MatrixPropertyError("herm_eig requires a Hermitian matrix")
     try:
         lam, v = np.linalg.eigh((m + dagger(m)) / 2.0)
@@ -155,7 +159,7 @@ def herm_eig(h, tol: float | None = None) -> tuple[np.ndarray, Matrix]:
     return lam[order].copy(), v[:, order].copy()
 
 
-def unitary_eig(u, tol: float | None = None) -> tuple[np.ndarray, Matrix]:
+def unitary_eig(u) -> tuple[np.ndarray, Matrix]:
     """Eigenphases and eigenvectors of a unitary matrix.
 
     Splits u into its commuting Hermitian and anti-Hermitian parts and
@@ -163,7 +167,7 @@ def unitary_eig(u, tol: float | None = None) -> tuple[np.ndarray, Matrix]:
     with the branch value pi kept at +pi.
     """
     m = as_matrix(u)
-    if not is_unitary(m, tol=tol):
+    if not is_unitary(m):
         raise MatrixPropertyError("unitary_eig requires a unitary matrix")
     n = m.shape[0]
     re_part = (m + dagger(m)) / 2.0
@@ -199,22 +203,22 @@ def unitary_eig(u, tol: float | None = None) -> tuple[np.ndarray, Matrix]:
 # exponential / logarithm on the unitary group
 # ---------------------------------------------------------------------------
 
-def expm_antiherm(a, tol: float | None = None) -> Matrix:
+def expm_antiherm(a) -> Matrix:
     """Unitary exponential of an anti-Hermitian matrix."""
     m = as_matrix(a)
-    if not is_anti_hermitian(m, tol=tol):
+    if not is_anti_hermitian(m):
         raise MatrixPropertyError("expm_antiherm requires an anti-Hermitian matrix")
     lam, w = herm_eig(-1j * m)
     return (w * np.exp(1j * lam)) @ dagger(w)
 
 
-def logm_unitary(u, tol: float | None = None) -> Matrix:
+def logm_unitary(u) -> Matrix:
     """Principal anti-Hermitian logarithm of a unitary matrix.
 
     Eigenphases are taken in (-pi, pi]; a BranchCutWarning is issued when
     any phase comes within the configured margin of pi.
     """
-    phases, w = unitary_eig(u, tol=tol)
+    phases, w = unitary_eig(u)
     if np.any(math.pi - np.abs(phases) < DEFAULTS.branch_warn_margin):
         warnings.warn(
             "eigenphase within margin of the branch cut at pi", BranchCutWarning
@@ -223,13 +227,13 @@ def logm_unitary(u, tol: float | None = None) -> Matrix:
     return (log - dagger(log)) / 2.0
 
 
-def principal_sqrt_unitary(u, tol: float | None = None) -> Matrix:
+def principal_sqrt_unitary(u) -> Matrix:
     """Principal unitary square root (eigenphases halved)."""
-    phases, w = unitary_eig(u, tol=tol)
+    phases, w = unitary_eig(u)
     return (w * np.exp(0.5j * phases)) @ dagger(w)
 
 
-def error_metrics(u, v, tol: float | None = None) -> tuple[float, float]:
+def error_metrics(u, v) -> tuple[float, float]:
     """(Frobenius distance, global-phase-invariant distance) between unitaries.
 
     The optimal phase comes from tr(u^dag v) in closed form; the distance is
@@ -239,7 +243,7 @@ def error_metrics(u, v, tol: float | None = None) -> tuple[float, float]:
     mu, mv = as_matrix(u), as_matrix(v)
     _same_dim(mu, mv)
     for m in (mu, mv):
-        if not is_unitary(m, tol=tol):
+        if not is_unitary(m):
             raise MatrixPropertyError("error_metrics requires unitary inputs")
     frob = frob_norm(mu - mv)
     return frob, phase_invariant_dist(mu, mv)

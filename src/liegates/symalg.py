@@ -21,9 +21,9 @@ from itertools import product as iproduct
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import CapacityError, FamilyMismatchError, ParameterMismatchError
+from .errors import FamilyMismatchError, LieGatesError, ParameterMismatchError
 from .generators import GeneratorSet, mu_phase, torus_T
-from .linalg import Matrix, herm_eig
+from .linalg import Matrix, check_capacity
 
 
 @dataclass(frozen=True)
@@ -114,28 +114,25 @@ def mono_eval(a: Monomial, gens: GeneratorSet) -> Matrix:
     return out
 
 
-def span_dimension(l: int, n: int, cap: int | None = None,
-                   rank_tol: float | None = None) -> int:
-    """Complex rank of all l^{2n} phase-free monomial values.
+def span_dimension(l: int, n: int) -> int:
+    """Complex dimension of the span of all l^{2n} phase-free monomial values.
 
-    Computed as the rank of the Gram matrix of the vectorised monomials,
-    counting eigenvalues above the threshold.
+    mono_mul gives M_a^dag M_b = mu^p M_{b-a}, so the Gram matrix
+    tr(M_a^dag M_b) is N times the identity exactly when every non-identity
+    monomial is traceless.  That identity is checked, one trace per
+    monomial, each to DEFAULTS.span_rank_tol; the monomials are then
+    independent and the dimension is l^{2n}.
     """
     if l < 2 or n < 1:
         raise ValueError(f"span needs l >= 2 and n >= 1, got l = {l}, n = {n}")
-    cap = DEFAULTS.dim_cap if cap is None else cap
-    rank_tol = DEFAULTS.span_rank_tol if rank_tol is None else rank_tol
-    if l**n > cap:
-        raise CapacityError(f"dimension {l**n} exceeds cap {cap}")
-    gens = torus_T(n, l, cap=cap)
-    vecs = []
-    for exps in iproduct(range(l), repeat=2 * n):
-        m = mono_eval(Monomial(l, n, 0, tuple(exps)), gens)
-        vecs.append(m.reshape(-1))
-    stack = np.array(vecs)
-    gram = stack.conj() @ stack.T
-    lam, _ = herm_eig((gram + gram.conj().T) / 2.0)
-    return int(np.sum(lam > rank_tol))
+    check_capacity(l**n)
+    gens = torus_T(n, l)
+    worst, exps = max((abs(np.trace(mono_eval(Monomial(l, n, 0, e), gens))), e)
+                      for e in iproduct(range(l), repeat=2 * n) if any(e))
+    if worst > DEFAULTS.span_rank_tol:
+        raise LieGatesError(f"monomial {render_monomial(Monomial(l, n, 0, exps))} has trace "
+                            f"{worst:.6g}; the monomials are not orthogonal")
+    return l ** (2 * n)
 
 
 # ---------------------------------------------------------------------------

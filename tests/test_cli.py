@@ -1,9 +1,11 @@
 import argparse
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from liegates import linalg, symalg
 from liegates.cli import build_parser, run
 from liegates.errors import FamilyMismatchError
 from liegates.generators import GeneratorSet, relation_report
@@ -112,6 +114,21 @@ def test_capacity_error_exits_2(capsys):
     code, _, err = run_json(capsys, ["closure", "--family", "clifford_full", "--n", "13"])
     assert code == 2
     assert json.loads(err)["error"]["type"] == "validation"
+
+
+def test_span_exits_1_when_a_monomial_has_trace(capsys, monkeypatch):
+    monkeypatch.setattr(symalg, "mono_eval", lambda a, gens: np.eye(gens.dim))
+    code, _, err = run_json(capsys, ["span", "--l", "2", "--n", "1"])
+    assert code == 1
+    assert "monomial T0 T1 has trace 2" in json.loads(err)["error"]["message"]
+
+
+def test_weyl_capacity_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(linalg, "DEFAULTS", replace(linalg.DEFAULTS, dim_cap=4))
+    code, _, err = run_json(capsys, ["gens", "--family", "weyl", "--l", "5"])
+    assert code == 2
+    assert json.loads(err)["error"] == {
+        "type": "validation", "message": "matrix dimension 5 exceeds cap 4"}
 
 
 def test_not_member_exits_1(capsys, tmp_path):

@@ -125,7 +125,7 @@ def test_gamma_deterministic_rebuild():
 
 def test_gamma_capacity():
     with pytest.raises(CapacityError):
-        clifford_gammas(3, cap=4)
+        clifford_gammas(13)
 
 
 def test_gamma_u_variants():

@@ -1,16 +1,18 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from liegates import linalg
 from liegates.errors import (
     BranchCutWarning,
     CapacityError,
     DimensionMismatchError,
     MatrixPropertyError,
 )
-from liegates.generators import clifford_gammas
+from liegates.generators import clifford_gammas, tau, torus_T, weyl_pair
 from liegates.linalg import (
     _canonical_columns,
     anticommutator,
@@ -30,6 +32,7 @@ from liegates.linalg import (
     tensor,
     unitary_eig,
 )
+from liegates.symalg import span_dimension
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -70,7 +73,23 @@ def test_tensor_associative():
 def test_tensor_capacity():
     big = np.eye(100, dtype=complex)
     with pytest.raises(CapacityError):
-        tensor(big, big, cap=4096)
+        tensor(big, big)
+
+
+# every caller of check_capacity, refused under a cap of 4 before allocating
+@pytest.mark.parametrize("build", [
+    lambda: tensor(np.eye(3), np.eye(2)),
+    lambda: weyl_pair(5),
+    lambda: tau(5),
+    lambda: torus_T(1, 5),
+    lambda: clifford_gammas(3),
+    lambda: span_dimension(5, 1),
+    lambda: span_dimension(2, 3),
+], ids=["tensor", "weyl_pair", "tau", "torus_T", "clifford_gammas", "span_l", "span_n"])
+def test_capacity_refused_by_every_caller(monkeypatch, build):
+    monkeypatch.setattr(linalg, "DEFAULTS", replace(linalg.DEFAULTS, dim_cap=4))
+    with pytest.raises(CapacityError, match="exceeds cap 4"):
+        build()
 
 
 def test_tensor_with_identity_keeps_spectrum():

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product as iproduct
 
 import numpy as np
@@ -162,6 +163,17 @@ def test_associativity_property(x, y, z):
 )
 def test_span_dimension(l, n, expected):
     assert span_dimension(l, n) == expected
+
+
+def test_span_dimension_checks_traces_without_a_gram_matrix():
+    # the 256 x 256 monomial Gram matrix alone would take 1 MB
+    tracemalloc.start()
+    try:
+        assert span_dimension(4, 2) == 256
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_render_parse_roundtrip():
