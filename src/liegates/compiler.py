@@ -20,10 +20,16 @@ coordinate solve.
 Every mode runs one pipeline: `_plan` analyses the target once (checks,
 square-root split at the branch cut, logarithm, coordinates) and
 `_compile_at` refines, builds and evaluates the word of one slice count.
-Words stay arrays of generator table rows and angles, multiplied 256 gates
-at a time from stacked products over each generator's cached eigenbasis;
-(id, tau) pairs are built once, for the returned GateSequence, and
-`evaluate` maps them back to table rows and the same chunks.
+A depth-d word has 4^d gates but only 2^d distinct leaf exponentials: an
+element's word at a negative angle is the adjoint of its word at the
+positive one, and a commutator node is P_L P_R P_L^dag P_R^dag =
+(P_L P_R)(P_R P_L)^dag.  Refinement and reports therefore multiply a slice
+on its commutator trees, exponentiating each leaf once and going up one
+tree height at a time in stacked products, in blocks of elements with a
+bounded node stack.  Words stay arrays of generator table rows and angles;
+(id, tau) pairs are built once, for the returned GateSequence.  `evaluate`
+is the flat reference: it multiplies any sequence 256 gates at a time from
+stacked products over each generator's cached eigenbasis.
 """
 
 from __future__ import annotations
@@ -140,6 +146,16 @@ def gate_matrix(gens: GeneratorSet, gen_id: str, tau: float) -> Matrix:
     return (table.w[k] * np.exp(1j * table.lam[k] * tau)) @ table.wh[k]
 
 
+def _reduce(mats: np.ndarray) -> Matrix:
+    """Product of a non-empty stack of matrices, first leftmost, by pairwise products."""
+    eye = np.eye(mats.shape[1], dtype=complex)[None]
+    while len(mats) > 1:
+        if len(mats) % 2:
+            mats = np.concatenate((mats, eye))
+        mats = mats[0::2] @ mats[1::2]
+    return mats[0]
+
+
 def _chunk_product(table: _EigTable, gen: np.ndarray, tau: np.ndarray) -> Matrix:
     """Product of at most _CHUNK gates, given by table row and angle, first leftmost."""
     n = table.lam.shape[1]
@@ -150,20 +166,14 @@ def _chunk_product(table: _EigTable, gen: np.ndarray, tau: np.ndarray) -> Matrix
         # one (count * N, N) @ (N, N) product builds them all
         scaled = table.w[g] * phases[:, None, :]
         gates[sel] = (scaled.reshape(-1, n) @ table.wh[g]).reshape(-1, n, n)
-    eye = np.eye(n, dtype=complex)[None]
-    while len(gates) > 1:
-        if len(gates) % 2:
-            gates = np.concatenate((gates, eye))
-        gates = gates[0::2] @ gates[1::2]
-    return gates[0]
+    return _reduce(gates)
 
 
-def _word_product(table: _EigTable, gen: np.ndarray, tau: np.ndarray, reps: int = 1) -> Matrix:
-    """Product of a word repeated reps times, first gate leftmost; repeats are not stored."""
+def _word_product(table: _EigTable, gen: np.ndarray, tau: np.ndarray) -> Matrix:
+    """Product of a word given by table rows and angles, first gate leftmost."""
     out = np.eye(table.lam.shape[1], dtype=complex)
-    for lo in range(0, reps * len(gen), _CHUNK):
-        k = np.arange(lo, min(lo + _CHUNK, reps * len(gen))) % len(gen)
-        out = out @ _chunk_product(table, gen[k], tau[k])
+    for lo in range(0, len(gen), _CHUNK):
+        out = out @ _chunk_product(table, gen[lo:lo + _CHUNK], tau[lo:lo + _CHUNK])
     return out
 
 
@@ -197,77 +207,106 @@ def merge_adjacent(items: list[tuple[str, float]]) -> list[tuple[str, float]]:
 # recipe realisation
 # ---------------------------------------------------------------------------
 
-class _WordTemplate(NamedTuple):
-    """Group-commutator word of one basis element for angles of one sign.
+# bytes of one block's node stack in _slice_product: at N = 16, 256 nodes
+_TREE_BYTES = 1 << 20
 
-    The recipe tree is unfolded into nodes, each after its parent.  For a
-    coordinate theta a node's magnitude is |theta| at the root and
-    sqrt(magnitude / scale) of its parent below it, and each word entry is
-    its leaf node's magnitude over the leaf's scale, with a fixed sign.
+
+class _Templates(NamedTuple):
+    """Every basis element's unfolded recipe tree and group-commutator word.
+
+    Nodes are numbered element by element, each element's root first and
+    every node after its parent.  For a coordinate theta a node's magnitude
+    is |theta| at the root and sqrt(magnitude / |coeff|) of its parent below
+    it, and its angle is magnitude / coeff.  P_k, the word of node k for a
+    positive theta, is exp(A * angle) at a leaf and P_f P_s P_f^dag P_s^dag
+    at a commutator, as exp(tP) exp(tQ) exp(-tP) exp(-tQ) realises
+    t^2 [P, Q]; f, s are its children in recipe order, swapped when its
+    coeff is negative.  A negative theta realises P^dag: the element's word
+    read backwards with every sign flipped.
     """
-    parent: tuple[int, ...]   # parent node, -1 at the root
-    scale: tuple[float, ...]  # |coeff| of each node's recipe
-    node: np.ndarray          # leaf node of each word entry
-    gen: np.ndarray           # generator of each entry, by basis position
-    sign: np.ndarray          # +1 or -1 per entry
+    node_start: np.ndarray  # (dim + 1,) first node of each element
+    word_start: np.ndarray  # (dim + 1,) first word entry of each element
+    parent: np.ndarray      # parent node, -1 at a root
+    coeff: np.ndarray       # coeff of each node's recipe
+    by_depth: tuple         # non-root nodes, one array per distance from the root
+    height: np.ndarray      # 0 at a leaf, else 1 + the larger child height
+    first: np.ndarray       # children of a commutator node in product order,
+    second: np.ndarray      # -1 at a leaf
+    leaf_gen: np.ndarray    # generator of a leaf node by basis position, -1 elsewhere
+    node: np.ndarray        # leaf node of each word entry (positive theta)
+    sign: np.ndarray        # +1 or -1 per entry, times the leaf's angle
 
-    def angles(self, theta: float) -> np.ndarray:
-        """Angles of the word realising theta times the element."""
-        mag = [abs(theta)]
-        for p in self.parent[1:]:
-            mag.append(math.sqrt(mag[p] / self.scale[p]))
-        return self.sign * np.array([m / c for m, c in zip(mag, self.scale)])[self.node]
 
-
-def _word_template(basis: LieBasis, idx: int, negative: bool) -> _WordTemplate:
-    key = (idx, negative)
-    cached = basis._templates.get(key)
-    if cached is not None:
-        return cached
+def _templates(basis: LieBasis) -> _Templates:
+    """The templates of every element, built on the first compile against the basis."""
+    if basis._templates is not None:
+        return basis._templates
     position = {gen_id: k for k, gen_id in enumerate(basis.generator_matrices)}
-    parent: list[int] = []
-    scale: list[float] = []
-    children: dict[int, tuple[int, int]] = {}
+    parent, coeff, depth, height, first, second, leaf_gen = ([] for _ in range(7))
 
-    def unfold(i: int, up: int) -> int:
-        k = len(parent)
-        rec = basis.recipes[i]
-        parent.append(up)
-        scale.append(abs(rec.coeff))
-        if rec.kind == "comm":
-            children[k] = (unfold(rec.left, k), unfold(rec.right, k))
-        return k
-
-    node: list[int] = []
-    gen: list[int] = []
-    sign: list[float] = []
-
-    def walk(i: int, k: int, s: float) -> None:
-        # s is the sign of the angle at node k; the sign of angle / coeff
-        # picks the commutator's order, as exp(tP) exp(tQ) exp(-tP) exp(-tQ)
-        # realises t^2 [P, Q]
-        rec = basis.recipes[i]
-        s = math.copysign(1.0, rec.coeff) * s
+    def unfold(i: int, up: int) -> tuple[int, list]:
+        # node k and its positive-theta word as (leaf node, sign) entries
+        k, rec = len(parent), basis.recipes[i]
+        for column, value in ((parent, up), (coeff, rec.coeff),
+                              (depth, depth[up] + 1 if up >= 0 else 0), (height, 0),
+                              (first, -1), (second, -1), (leaf_gen, -1)):
+            column.append(value)
         if rec.kind == "leaf":
-            node.append(k)
-            gen.append(position[rec.gen_id])
-            sign.append(s)
-            return
-        (li, lk), (ri, rk) = (rec.left, children[k][0]), (rec.right, children[k][1])
-        if s < 0:
-            (li, lk), (ri, rk) = (ri, rk), (li, lk)
-        for child_sign in (1.0, -1.0):
-            walk(li, lk, child_sign)
-            walk(ri, rk, child_sign)
+            leaf_gen[k] = position[rec.gen_id]
+            return k, [(k, 1.0)]
+        (f, f_word), (s, s_word) = unfold(rec.left, k), unfold(rec.right, k)
+        if rec.coeff < 0:
+            (f, f_word), (s, s_word) = (s, s_word), (f, f_word)
+        height[k], first[k], second[k] = 1 + max(height[f], height[s]), f, s
+        inverse = [(node, -e) for node, e in f_word[::-1] + s_word[::-1]]
+        return k, f_word + s_word + inverse
 
-    unfold(idx, -1)
-    walk(idx, 0, -1.0 if negative else 1.0)
-    template = _WordTemplate(
-        tuple(parent), tuple(scale), np.array(node, dtype=np.intp),
-        np.array(gen, dtype=np.intp), np.array(sign),
+    node_start, word_start, word = [0], [0], []
+    for i in range(basis.dim):
+        word.extend(unfold(i, -1)[1])
+        node_start.append(len(parent))
+        word_start.append(len(word))
+    depth = np.array(depth, dtype=np.intp)
+    node, sign = (np.array(col) for col in zip(*word)) if word else [np.empty(0)] * 2
+
+    def ints(values):
+        return np.array(values, dtype=np.intp)
+
+    basis._templates = _Templates(
+        ints(node_start), ints(word_start), ints(parent), np.array(coeff, dtype=float),
+        tuple(np.flatnonzero(depth == d) for d in range(1, depth.max(initial=0) + 1)),
+        ints(height), ints(first), ints(second), ints(leaf_gen), ints(node), sign.astype(float),
     )
-    basis._templates[key] = template
-    return template
+    return basis._templates
+
+
+def _slice_angles(coords: np.ndarray, basis: LieBasis, slices: int):
+    """Templates, realised elements, whether their theta is negative, and node angles.
+
+    Angles under 1e-15 are dropped; a commutator's scale |[b_i, b_j]| is at
+    most 2, so below the root every magnitude is at least sqrt(1e-15 / 2)
+    and only the root can fall under the cut.  Magnitudes are computed one
+    depth at a time for every node; sqrt and division are correctly
+    rounded, so they are those of a node-by-node pass, bit for bit.
+    """
+    t = _templates(basis)
+    theta = coords / slices
+    active = np.flatnonzero((np.abs(coords) >= 1e-14) & (np.abs(theta) >= 1e-15))
+    mag = np.zeros(len(t.parent))
+    mag[t.node_start[active]] = np.abs(theta[active])
+    for nodes in t.by_depth:
+        up = t.parent[nodes]
+        mag[nodes] = np.sqrt(mag[up] / np.abs(t.coeff[up]))
+    return t, active, theta[active] < 0, mag / t.coeff
+
+
+def _table_rows(basis: LieBasis, table: _EigTable, gen: np.ndarray) -> np.ndarray:
+    """Table rows of generators given by basis position; refuses one the set lacks."""
+    gen_ids = list(basis.generator_matrices)
+    rows = np.array([table.index.get(gen_id, -1) for gen_id in gen_ids], dtype=np.intp)[gen]
+    if rows.size and rows.min() < 0:
+        raise UnknownGeneratorError(gen_ids[gen[np.argmax(rows < 0)]])
+    return rows
 
 
 def _slice_items(coords: np.ndarray, basis: LieBasis, slices: int,
@@ -277,27 +316,16 @@ def _slice_items(coords: np.ndarray, basis: LieBasis, slices: int,
     Angles are reduced by their generator's period and oversized ones are
     split into equal parts; both moves leave the evaluated product unchanged.
     """
+    t, active, negative, angle = _slice_angles(coords, basis, slices)
     table = _eig_table(gens)
-    gen_ids = list(basis.generator_matrices)
-    rows = np.array([table.index.get(gen_id, -1) for gen_id in gen_ids], dtype=np.intp)
-    gen_parts, tau_parts = [], []
-    for j, c in enumerate(coords):
-        theta = float(c) / slices
-        # angles under 1e-15 are dropped; a commutator's scale |[b_i, b_j]|
-        # is at most 2, so below the root every magnitude is at least
-        # sqrt(1e-15 / 2) and only the root can fall under the cut
-        if abs(c) < 1e-14 or abs(theta) < 1e-15:
-            continue
-        template = _word_template(basis, j, theta < 0)
-        gen_parts.append(template.gen)
-        tau_parts.append(template.angles(theta))
-    if not gen_parts:
-        return np.empty(0, dtype=np.intp), np.empty(0)
-    gen = np.concatenate(gen_parts)
-    tau = np.concatenate(tau_parts)
-    row = rows[gen]
-    if row.min() < 0:
-        raise UnknownGeneratorError(gen_ids[gen[np.argmax(row < 0)]])
+    counts = np.diff(t.word_start)[active]
+    pos = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    back = np.repeat(negative, counts)
+    # a negative theta reads its element's word backwards, every sign flipped
+    entry = np.repeat(t.word_start[active], counts) + np.where(
+        back, np.repeat(counts - 1, counts) - pos, pos)
+    row = _table_rows(basis, table, t.leaf_gen[t.node[entry]])
+    tau = np.where(back, -t.sign[entry], t.sign[entry]) * angle[t.node[entry]]
     period = table.period[row]
     # math.remainder leaves every angle within half a period unchanged
     for k in np.flatnonzero(np.abs(tau) > period / 2):
@@ -308,6 +336,60 @@ def _slice_items(coords: np.ndarray, basis: LieBasis, slices: int,
     parts = np.ceil(np.abs(tau) / cfg.tau_clip)
     counts = parts.astype(np.intp)
     return np.repeat(row, counts), np.repeat(tau / parts, counts)
+
+
+def _tree_block(t: _Templates, elems: np.ndarray, negative: np.ndarray, angle: np.ndarray,
+                basis: LieBasis, table: _EigTable) -> Matrix:
+    """Product of the words of some elements, first leftmost, on their trees."""
+    start = t.node_start[elems]
+    counts = t.node_start[elems + 1] - start
+    roots = np.cumsum(counts) - counts        # stack position of each root
+    shift = np.repeat(start - roots, counts)  # node number minus stack position
+    nodes = shift + np.arange(counts.sum())
+    height = t.height[nodes]
+    n = table.lam.shape[1]
+    stack = np.empty((len(nodes), n, n), dtype=complex)
+    leaf = nodes[height == 0]
+    g = _table_rows(basis, table, t.leaf_gen[leaf])
+    phases = np.exp(1j * (angle[leaf][:, None] * table.lam[g]))
+    stack[height == 0] = (table.w[g] * phases[:, None, :]) @ table.wh[g]
+    for h in range(1, height.max() + 1):
+        k = np.flatnonzero(height == h)
+        f, s = t.first[nodes[k]] - shift[k], t.second[nodes[k]] - shift[k]
+        # P_f P_s P_f^dag P_s^dag = (P_f P_s) (P_s P_f)^dag
+        pair = stack[np.concatenate((f, s))] @ stack[np.concatenate((s, f))]
+        stack[k] = pair[:len(k)] @ pair[len(k):].conj().transpose(0, 2, 1)
+    top = stack[roots]
+    top[negative] = top[negative].conj().transpose(0, 2, 1)
+    return _reduce(top)
+
+
+def _slice_product(coords: np.ndarray, basis: LieBasis, slices: int,
+                   gens: GeneratorSet) -> Matrix:
+    """Product of one slice's word, multiplied on its commutator trees.
+
+    The word of _slice_items is the product over realised elements of P or
+    P^dag (see _Templates); the period wrap and the tau_clip split leave
+    each gate unchanged, so the leaves take their raw angle.  Each leaf is
+    exponentiated once, each commutator node is formed from its children
+    one tree height at a time, and the element products are reduced
+    pairwise.  Elements go in blocks whose node stack stays within
+    _TREE_BYTES (or holds one element).
+    """
+    t, active, negative, angle = _slice_angles(coords, basis, slices)
+    table = _eig_table(gens)
+    budget = _TREE_BYTES // (16 * gens.dim**2)
+    sizes = np.diff(t.node_start)[active]
+    out = np.eye(gens.dim, dtype=complex)
+    lo = 0
+    while lo < len(active):
+        hi, total = lo + 1, sizes[lo]
+        while hi < len(active) and total + sizes[hi] <= budget:
+            total += sizes[hi]
+            hi += 1
+        out = out @ _tree_block(t, active[lo:hi], negative[lo:hi], angle, basis, table)
+        lo = hi
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -324,23 +406,23 @@ def _traceless(a: Matrix) -> Matrix:
     return a - (np.trace(a) / n) * np.eye(n, dtype=complex)
 
 
-def _refine_coords(plan: _Plan, slices: int) -> np.ndarray:
+def _refine_coords(plan: _Plan, slices: int) -> tuple[np.ndarray, Matrix]:
     """Fixed-point coordinate solve against the realised slice product.
 
     Compares logarithms in the algebra frame (target coordinates against
     the coordinates of the realised product) and backtracks until a step
     strictly reduces the phase-invariant error, so the current iterate is
-    always the best one.
+    always the best one.  Returns it with its slice product.
     """
     floor = 1e-11
-    u, coords, basis, gens, cfg = plan.root, plan.coords, plan.basis, plan.gens, plan.cfg
+    u, coords, basis, gens = plan.root, plan.coords, plan.basis, plan.gens
 
     def product_for(c):
-        word = _word_product(_eig_table(gens), *_slice_items(c, basis, slices, gens, cfg))
-        return np.linalg.matrix_power(word, slices)
+        unit = _slice_product(c, basis, slices, gens)
+        return unit, np.linalg.matrix_power(unit, slices)
 
     c = coords
-    v = product_for(c)
+    unit, v = product_for(c)
     err = phase_invariant_dist(u, v)
     for _ in range(_REFINE_MAX_ITER):
         if err <= floor:
@@ -353,14 +435,14 @@ def _refine_coords(plan: _Plan, slices: int) -> np.ndarray:
             break
         for step in (1.0, 0.5, 0.25, 0.125):
             cand = c + step * delta
-            v_cand = product_for(cand)
+            unit_cand, v_cand = product_for(cand)
             err_cand = phase_invariant_dist(u, v_cand)
             if err_cand < err:
-                c, v, err = cand, v_cand, err_cand
+                c, unit, v, err = cand, unit_cand, v_cand, err_cand
                 break
         else:
             break
-    return c
+    return c, unit
 
 
 class _Plan(NamedTuple):
@@ -406,9 +488,16 @@ def _plan(u, gens: GeneratorSet, basis: LieBasis, cfg: CompileConfig) -> _Plan:
 
 
 def _compile_at(plan: _Plan, slices: int) -> tuple[np.ndarray, np.ndarray, int, dict]:
-    """One slice count's word, a unit of table rows and angles repeated reps times."""
+    """One slice count's word, a unit of table rows and angles repeated reps times.
+
+    The report measures the slice's tree product raised to the slice count;
+    the word itself is built once, for the caller.
+    """
     gens, basis, cfg = plan.gens, plan.basis, plan.cfg
-    coords = _refine_coords(plan, slices) if cfg.refine and plan.needed else plan.coords
+    if cfg.refine and plan.needed:
+        coords, unit = _refine_coords(plan, slices)
+    else:
+        coords, unit = plan.coords, _slice_product(plan.coords, basis, slices, gens)
     gen, tau = _slice_items(coords, basis, slices, gens, cfg)
     reps = slices * plan.copies
     if cfg.merge:
@@ -416,7 +505,8 @@ def _compile_at(plan: _Plan, slices: int) -> tuple[np.ndarray, np.ndarray, int, 
         merged = merge_adjacent(list(zip(gen.tolist(), tau.tolist())) * slices)
         gen, tau = np.array([g for g, _ in merged], dtype=np.intp), np.array([t for _, t in merged])
         reps = plan.copies
-    frob, phase_inv = error_metrics(plan.target, _word_product(_eig_table(gens), gen, tau, reps))
+    frob, phase_inv = error_metrics(plan.target,
+                                    np.linalg.matrix_power(unit, slices * plan.copies))
     report = {"frob_error": frob, "phase_invariant_error": phase_inv,
               "slice_count": plan.copies * slices, "gate_count": reps * len(gen)}
     if plan.copies == 2:

@@ -169,7 +169,7 @@ def tau(l: int) -> GeneratorSet:
 def _ladder(n: int, x: Matrix, y: Matrix, z: Matrix, prefix: str,
             scale: complex) -> list[tuple[str, Matrix, int]]:
     """Site-k pair (x or y with a z tail): I^(n-k-1) (x|y) z^k, scaled."""
-    check_capacity(x.shape[0] ** n)
+    check_capacity(x.shape[0], n)
     eye = np.eye(x.shape[0], dtype=complex)
     out = []
     for k in range(n):

@@ -61,8 +61,8 @@ class LieBasis:
     # orthonormal frame with basis[m] = sum_k tri[k, m] * frame[k], k <= m
     frame: np.ndarray | None = None
     tri: np.ndarray | None = None
-    # compiler word templates by (element, angle negative)
-    _templates: dict = field(default_factory=dict, repr=False, compare=False)
+    # compiler word templates of every element, built on the first compile
+    _templates: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:

@@ -74,11 +74,21 @@ def is_unitary(a, tol: float | None = None) -> bool:
     return max_abs(dagger(m) @ m - eye) <= tol and max_abs(m @ dagger(m) - eye) <= tol
 
 
-def check_capacity(dim: int) -> None:
-    """Refuse a dense matrix side above the cap, before anything is allocated."""
+def check_capacity(side: int, power: int = 1) -> None:
+    """Refuse a dense matrix of side side**power above the cap, before anything is allocated.
+
+    The power is multiplied out only until it passes the cap, so a huge
+    exponent costs nothing; a size not multiplied out is named side^power.
+    """
     cap = DEFAULTS.dim_cap
-    if dim > cap:
-        raise CapacityError(f"matrix dimension {dim} exceeds cap {cap}")
+    if side < 2:
+        return
+    dim = 1
+    for done in range(1, power + 1):
+        dim *= side
+        if dim > cap:
+            size = dim if done == power else f"{side}^{power}"
+            raise CapacityError(f"matrix dimension {size} exceeds cap {cap}")
 
 
 def tensor(a, b) -> Matrix:

@@ -125,7 +125,7 @@ def span_dimension(l: int, n: int) -> int:
     """
     if l < 2 or n < 1:
         raise ValueError(f"span needs l >= 2 and n >= 1, got l = {l}, n = {n}")
-    check_capacity(l**n)
+    check_capacity(l, n)
     gens = torus_T(n, l)
     worst, exps = max((abs(np.trace(mono_eval(Monomial(l, n, 0, e), gens))), e)
                       for e in iproduct(range(l), repeat=2 * n) if any(e))

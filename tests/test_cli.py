@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from dataclasses import replace
 
 import numpy as np
@@ -114,6 +118,21 @@ def test_capacity_error_exits_2(capsys):
     code, _, err = run_json(capsys, ["closure", "--family", "clifford_full", "--n", "13"])
     assert code == 2
     assert json.loads(err)["error"]["type"] == "validation"
+
+
+@pytest.mark.parametrize("argv", [
+    ["span", "--l", "3", "--n", "10000"],
+    ["closure", "--family", "torus_splits", "--l", "3", "--n", "10000000"],
+], ids=["span", "closure"])
+def test_huge_power_refused_without_forming_it(capsys, argv):
+    # 3^n is never multiplied out past the cap, so the refusal is immediate
+    # and its message names the power instead of printing it
+    code, _, err = run_json(capsys, argv)
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "validation"
+    assert "exceeds cap" in error["message"]
+    assert f"3^{argv[-1]}" in error["message"]
 
 
 def test_span_exits_1_when_a_monomial_has_trace(capsys, monkeypatch):
@@ -324,3 +343,28 @@ def test_byte_identical_reruns(capsys):
         _, out1, _ = run_json(capsys, argv)
         _, out2, _ = run_json(capsys, argv)
         assert out1 == out2
+
+
+@pytest.mark.parametrize("target", [
+    ["--family", "clifford_two_local", "--n", "3", "--target-file", "toffoli.json"],
+    ["--family", "clifford_two_local", "--n", "2", "--target", "cnot",
+     "--target-error", "1e-12"],
+], ids=["toffoli", "cnot_target_error"])
+def test_compile_stdout_independent_of_hash_seed(tmp_path, target):
+    # no word order may follow dict or set iteration of strings
+    from liegates.cli import _matrix_to_json
+
+    toffoli = np.eye(8, dtype=complex)
+    toffoli[6:, 6:] = [[0, 1], [1, 0]]
+    (tmp_path / "toffoli.json").write_text(json.dumps(_matrix_to_json(toffoli)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from liegates.cli import run; "
+             "sys.exit(run(sys.argv[1:]))", "compile", *target],
+            cwd=tmp_path, env=env, capture_output=True, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and len(outs[0]) > 1000

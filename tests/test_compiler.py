@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from liegates.compiler import (
     GateSequence,
     _eig_table,
     _slice_items,
+    _slice_product,
+    _word_product,
     compile,
     compile_report,
     evaluate,
@@ -344,26 +347,120 @@ def _wrap_and_clip(items, gens, clip, hits):
     return out
 
 
-def test_slice_items_match_recursive_realisation():
-    cfg = CompileConfig()
+def _oracle_cases():
+    """(gens, basis, coords, slices) over the closure families, scales and slice counts.
+
+    Signs are mixed, every fifth coordinate is zero, and the last one is a
+    commutator coordinate of 3e-14, dropped at 64 slices (under 1e-15).
+    Each family also runs with every recipe coeff negated, which swaps the
+    order of every commutator.
+    """
     rng = np.random.default_rng(40)
-    hits = {"wrap": 0, "clip": 0}
     # the closure families: those with a predicted dimension
     for label in [label for label, f in FAMILIES.items() if f.predicted]:
         n, l = {"torus_splits": (1, 3), "torus_two_local": (2, 3)}.get(label, (2, 2))
         gens = build_family(label, n, l)
         basis = closure(gens)
+        negated = replace(basis, recipes=[replace(r, coeff=-r.coeff) for r in basis.recipes])
         for scale in (1e-3, 0.3, 3.0, 30.0):
             coords = rng.normal(scale=scale, size=basis.dim)
             coords[::5] = 0.0
-            coords[-1] = 3e-14   # a commutator, dropped at 64 slices (under 1e-15)
+            coords[-1] = 3e-14
             for slices in (1, 8, 64):
-                ref: list = []
-                for j, c in enumerate(coords):
-                    if abs(c) >= 1e-14:
-                        _realize(basis, j, float(c) / slices, ref)
-                ref = _wrap_and_clip(ref, gens, cfg.tau_clip, hits)
-                rows, taus = _slice_items(coords, basis, slices, gens, cfg)
-                ids = _eig_table(gens).ids
-                assert list(zip(ids[rows].tolist(), taus.tolist())) == ref
+                for b in (basis, negated):
+                    yield gens, b, coords, slices
+
+
+def test_slice_items_match_recursive_realisation():
+    cfg = CompileConfig()
+    hits = {"wrap": 0, "clip": 0}
+    for gens, basis, coords, slices in _oracle_cases():
+        ref: list = []
+        for j, c in enumerate(coords):
+            if abs(c) >= 1e-14:
+                _realize(basis, j, float(c) / slices, ref)
+        ref = _wrap_and_clip(ref, gens, cfg.tau_clip, hits)
+        rows, taus = _slice_items(coords, basis, slices, gens, cfg)
+        ids = _eig_table(gens).ids
+        assert list(zip(ids[rows].tolist(), taus.tolist())) == ref
     assert hits["wrap"] > 0 and hits["clip"] > 0
+
+
+# -- the tree product against the flat word ----------------------------------
+
+@pytest.mark.parametrize("tree_bytes", [compiler_mod._TREE_BYTES, 1], ids=["blocks", "one_each"])
+def test_slice_product_matches_flat_word(monkeypatch, tree_bytes):
+    # the cases of the realisation test above, where the wrap and clip fire;
+    # one_each puts every element in a block of its own
+    monkeypatch.setattr(compiler_mod, "_TREE_BYTES", tree_bytes)
+    cfg = CompileConfig()
+    for gens, basis, coords, slices in _oracle_cases():
+        tree = _slice_product(coords, basis, slices, gens)
+        flat = _word_product(_eig_table(gens), *_slice_items(coords, basis, slices, gens, cfg))
+        assert np.max(np.abs(tree - flat)) <= 1e-12
+
+
+def _su4(seed):
+    u = random_unitary(4, np.random.default_rng(seed))
+    return u / np.linalg.det(u) ** 0.25
+
+
+@pytest.mark.parametrize("target, cfg", [
+    (_su4(21), CompileConfig(slices=8)),
+    (_su4(22), CompileConfig(slices=1, target_error=1e-8)),
+    (_su4(23), CompileConfig(slices=4, merge=True)),
+    (CNOT, CompileConfig(slices=8)),
+], ids=["fixed", "target_error", "merge", "cnot_split"])
+def test_reported_error_is_that_of_the_returned_word(two_local, target, cfg):
+    # the report multiplies the tree product; evaluate multiplies the word
+    gens, basis = two_local
+    seq = compile(target, gens, basis, cfg)
+    assert seq.report.get("square_root_split", False) == (target is CNOT)
+    measured = phase_invariant_dist(target, evaluate(seq, gens))
+    assert abs(seq.report["phase_invariant_error"] - measured) <= 1e-12
+
+
+def test_sweep_rows_report_the_error_of_their_word(two_local):
+    gens, basis = two_local
+    u = _su4(24)
+    for row in compile_report(u, gens, basis, (1, 2, 4, 8))["rows"]:
+        seq = compile(u, gens, basis, CompileConfig(slices=row["slices"]))
+        measured = phase_invariant_dist(u, evaluate(seq, gens))
+        assert abs(row["phase_invariant_error"] - measured) <= 1e-12
+
+
+def test_compile_multiplies_no_flat_word(two_local, monkeypatch):
+    # refinement and reports go through the tree product; only evaluate
+    # multiplies a word gate by gate
+    gens, basis = two_local
+    calls = []
+    chunk = compiler_mod._chunk_product
+    monkeypatch.setattr(compiler_mod, "_chunk_product",
+                        lambda *args: calls.append(1) or chunk(*args))
+    seq = compile(_su4(25), gens, basis, CompileConfig(slices=1, target_error=1e-8))
+    compile(CNOT, gens, basis, CompileConfig(slices=4, merge=True))
+    compile_report(_su4(26), gens, basis, (1, 2, 4))
+    assert calls == []
+    evaluate(seq, gens)
+    assert calls
+
+
+def test_slice_product_memory_is_bounded():
+    # clifford_two_local n = 4: 255 elements, 6067 tree nodes at N = 16, so
+    # an unblocked node stack alone would take 25 MB
+    import tracemalloc
+
+    gens = two_local_clifford_set(4)
+    basis = closure(gens)
+    coords = np.random.default_rng(12).normal(scale=0.3, size=basis.dim)
+    tree = _slice_product(coords, basis, 8, gens)   # builds the cached tables
+    tracemalloc.start()
+    try:
+        again = _slice_product(coords, basis, 8, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert np.array_equal(tree, again)
+    flat = _word_product(_eig_table(gens), *_slice_items(coords, basis, 8, gens, CompileConfig()))
+    assert np.max(np.abs(tree - flat)) <= 1e-12
