@@ -154,9 +154,6 @@ def _cmd_compile(args) -> dict:
             if given is not None:
                 raise ValueError(f"{flag} does not apply to --sweep, which takes its slice "
                                  "counts as arguments")
-    gens = build_family(args.family, args.n, args.l)
-    basis = closure(gens)
-    target = _target_matrix(args, gens.dim)
     cfg = CompileConfig(
         slices=1 if args.slices is None else args.slices,
         max_commutator_depth=args.max_depth,
@@ -165,6 +162,9 @@ def _cmd_compile(args) -> dict:
         refine=not args.no_refine,
         merge=args.merge,
     )
+    gens = build_family(args.family, args.n, args.l)
+    basis = closure(gens)
+    target = _target_matrix(args, gens.dim)
     if args.sweep is not None:
         # a bare --sweep runs the default slice counts
         report = compile_report(target, gens, basis, tuple(args.sweep) or None, cfg)

@@ -10,9 +10,10 @@ group-commutator word following the element's recipe tree, so
 
 The plain scheme converges to the target only like 1 / sqrt(slices), far
 too slowly to be useful, so by default the coordinates are re-solved by a
-damped fixed-point iteration against the actual slice product; this keeps
-the gate alphabet, the word structure and the gate count unchanged while
-driving the error to the numerical floor whenever the iteration contracts.
+fixed-point iteration against the actual slice product, whose every full
+step is kept only while it lowers the error; this keeps the gate
+alphabet, the word structure and the gate count unchanged while driving
+the error to the numerical floor whenever the iteration contracts.
 All reported errors use the global-phase-invariant distance; the trace
 part of the logarithm (a pure global phase) is projected out before the
 coordinate solve.
@@ -28,8 +29,9 @@ on its commutator trees, exponentiating each leaf once and going up one
 tree height at a time in stacked products, in blocks of elements with a
 bounded node stack.  Words stay arrays of generator table rows and angles;
 (id, tau) pairs are built once, for the returned GateSequence.  `evaluate`
-is the flat reference: it multiplies any sequence 256 gates at a time from
-stacked products over each generator's cached eigenbasis.
+is the flat reference: it multiplies any sequence 256 gates at a time.
+Its gates and the tree leaves come from one kernel, a stacked product
+over each generator's cached eigenbasis.
 """
 
 from __future__ import annotations
@@ -79,8 +81,10 @@ class CompileConfig:
             raise ValueError("slices must be at least 1")
         if self.max_commutator_depth < 0:
             raise ValueError("max_commutator_depth must be non-negative")
-        if self.tau_clip <= 0:
-            raise ValueError("tau_clip must be positive")
+        for name in ("tau_clip", "target_error"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass
@@ -156,32 +160,32 @@ def _reduce(mats: np.ndarray) -> Matrix:
     return mats[0]
 
 
-def _chunk_product(table: _EigTable, gen: np.ndarray, tau: np.ndarray) -> Matrix:
-    """Product of at most _CHUNK gates, given by table row and angle, first leftmost."""
+def _gates(table: _EigTable, gen: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Stack of the gates exp(A tau), given by table row and angle."""
     n = table.lam.shape[1]
     gates = np.empty((len(gen), n, n), dtype=complex)
     for g in np.flatnonzero(np.bincount(gen)):
         sel = gen == g
         phases = np.exp(1j * (tau[sel][:, None] * table.lam[g]))
-        # one (count * N, N) @ (N, N) product builds them all
+        # one (count * N, N) @ (N, N) product builds all gates of a generator
         scaled = table.w[g] * phases[:, None, :]
         gates[sel] = (scaled.reshape(-1, n) @ table.wh[g]).reshape(-1, n, n)
-    return _reduce(gates)
+    return gates
 
 
 def _word_product(table: _EigTable, gen: np.ndarray, tau: np.ndarray) -> Matrix:
-    """Product of a word given by table rows and angles, first gate leftmost."""
+    """Product of a word given by table rows and angles, first gate leftmost.
+
+    Multiplied _CHUNK gates at a time, each chunk reduced by pairwise products.
+    """
     out = np.eye(table.lam.shape[1], dtype=complex)
     for lo in range(0, len(gen), _CHUNK):
-        out = out @ _chunk_product(table, gen[lo:lo + _CHUNK], tau[lo:lo + _CHUNK])
+        out = out @ _reduce(_gates(table, gen[lo:lo + _CHUNK], tau[lo:lo + _CHUNK]))
     return out
 
 
 def evaluate(seq, gens: GeneratorSet) -> Matrix:
-    """Ordered product of the sequence gates, first item leftmost.
-
-    Multiplied in chunks of _CHUNK gates, each reduced by pairwise products.
-    """
+    """Ordered product of the sequence gates, first item leftmost."""
     items = list(seq.items if isinstance(seq, GateSequence) else seq)
     table = _eig_table(gens)
     try:
@@ -350,9 +354,7 @@ def _tree_block(t: _Templates, elems: np.ndarray, negative: np.ndarray, angle: n
     n = table.lam.shape[1]
     stack = np.empty((len(nodes), n, n), dtype=complex)
     leaf = nodes[height == 0]
-    g = _table_rows(basis, table, t.leaf_gen[leaf])
-    phases = np.exp(1j * (angle[leaf][:, None] * table.lam[g]))
-    stack[height == 0] = (table.w[g] * phases[:, None, :]) @ table.wh[g]
+    stack[height == 0] = _gates(table, _table_rows(basis, table, t.leaf_gen[leaf]), angle[leaf])
     for h in range(1, height.max() + 1):
         k = np.flatnonzero(height == h)
         f, s = t.first[nodes[k]] - shift[k], t.second[nodes[k]] - shift[k]
@@ -409,39 +411,30 @@ def _traceless(a: Matrix) -> Matrix:
 def _refine_coords(plan: _Plan, slices: int) -> tuple[np.ndarray, Matrix]:
     """Fixed-point coordinate solve against the realised slice product.
 
-    Compares logarithms in the algebra frame (target coordinates against
-    the coordinates of the realised product) and backtracks until a step
-    strictly reduces the phase-invariant error, so the current iterate is
-    always the best one.  Returns it with its slice product.
+    Each step compares logarithms in the algebra frame (target coordinates
+    against the coordinates of the realised product) and moves the
+    coordinates by the whole difference.  The step is kept only if it
+    lowers the phase-invariant error, otherwise the solve ends, so the
+    current iterate is always the best one.  With cfg.refine off the solve
+    takes no step.  Returns the iterate with its slice product.
     """
-    floor = 1e-11
     u, coords, basis, gens = plan.root, plan.coords, plan.basis, plan.gens
-
-    def product_for(c):
-        unit = _slice_product(c, basis, slices, gens)
-        return unit, np.linalg.matrix_power(unit, slices)
-
-    c = coords
-    unit, v = product_for(c)
+    c, unit = coords, _slice_product(coords, basis, slices, gens)
+    v = np.linalg.matrix_power(unit, slices)
     err = phase_invariant_dist(u, v)
-    for _ in range(_REFINE_MAX_ITER):
-        if err <= floor:
+    for _ in range(_REFINE_MAX_ITER if plan.cfg.refine else 0):
+        if err <= 1e-11:
             break
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BranchCutWarning)
             realised_log = _traceless(logm_unitary(v))
-        delta = coords - membership(realised_log, basis, tol=1.0).coefficients
-        if np.linalg.norm(delta) < 1e-14:
+        cand = c + (coords - membership(realised_log, basis, tol=1.0).coefficients)
+        unit_cand = _slice_product(cand, basis, slices, gens)
+        v_cand = np.linalg.matrix_power(unit_cand, slices)
+        err_cand = phase_invariant_dist(u, v_cand)
+        if err_cand >= err:
             break
-        for step in (1.0, 0.5, 0.25, 0.125):
-            cand = c + step * delta
-            unit_cand, v_cand = product_for(cand)
-            err_cand = phase_invariant_dist(u, v_cand)
-            if err_cand < err:
-                c, unit, v, err = cand, unit_cand, v_cand, err_cand
-                break
-        else:
-            break
+        c, unit, v, err = cand, unit_cand, v_cand, err_cand
     return c, unit
 
 
@@ -451,7 +444,6 @@ class _Plan(NamedTuple):
     root: Matrix          # the target, or its principal square root if copies == 2
     copies: int           # times the root's word is emitted
     coords: np.ndarray    # coordinates of the root's traceless logarithm
-    needed: bool          # whether any coordinate is realised
     gens: GeneratorSet
     basis: LieBasis
     cfg: CompileConfig
@@ -484,7 +476,7 @@ def _plan(u, gens: GeneratorSet, basis: LieBasis, cfg: CompileConfig) -> _Plan:
     if max_depth > cfg.max_commutator_depth:
         raise DepthExhaustedError(f"recipe depth {max_depth} exceeds configured maximum "
                                   f"{cfg.max_commutator_depth}")
-    return _Plan(m, root, copies, res.coefficients, bool(needed), gens, basis, cfg)
+    return _Plan(m, root, copies, res.coefficients, gens, basis, cfg)
 
 
 def _compile_at(plan: _Plan, slices: int) -> tuple[np.ndarray, np.ndarray, int, dict]:
@@ -494,10 +486,7 @@ def _compile_at(plan: _Plan, slices: int) -> tuple[np.ndarray, np.ndarray, int, 
     the word itself is built once, for the caller.
     """
     gens, basis, cfg = plan.gens, plan.basis, plan.cfg
-    if cfg.refine and plan.needed:
-        coords, unit = _refine_coords(plan, slices)
-    else:
-        coords, unit = plan.coords, _slice_product(plan.coords, basis, slices, gens)
+    coords, unit = _refine_coords(plan, slices)
     gen, tau = _slice_items(coords, basis, slices, gens, cfg)
     reps = slices * plan.copies
     if cfg.merge:

@@ -21,6 +21,7 @@ the frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,7 +29,8 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import DimensionMismatchError, MatrixPropertyError, ParameterMismatchError
 from .generators import FAMILIES as _BUILDERS, GeneratorSet, clifford_gammas
-from .linalg import Matrix, as_matrix, commutator, frob_inner, frob_norm, is_anti_hermitian
+from .linalg import (Matrix, as_matrix, check_capacity, commutator, frob_inner, frob_norm,
+                     is_anti_hermitian)
 
 
 @dataclass(frozen=True)
@@ -149,6 +151,8 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
     Deterministic for a fixed generator order.
     """
     tol = DEFAULTS.closure_tol if tol is None else tol
+    if not 0 < tol < math.inf:
+        raise ValueError(f"closure tol must be finite and positive, got {tol}")
     n_dim = gens.dim
     thresh = tol * n_dim
     cap = n_dim * n_dim
@@ -320,15 +324,18 @@ def dimension_table(
     prediction matches a closure that spans su(N): commutators are
     traceless, so the closure plus the centre i*I is the u(N) count.
     """
+    selected = {label: family for label, family in _BUILDERS.items()
+                if family.predicted and (not families or label in families)}
+    if any(family.pinned for family in selected.values()):
+        # the largest side the n sweep would build, refused before any case is listed
+        check_capacity(2, max_n)
     rows = []
     cases: list[tuple[str, int, int]] = []
-    for label, family in _BUILDERS.items():
+    for label, family in selected.items():
         # a family with l pinned sweeps n, the others take the torus cases
         grid = [(n, 2) for n in range(1, max_n + 1)] if family.pinned else torus_cases
-        cases += [(label, n, l) for n, l in grid if family.predicted and n >= family.least["n"]]
+        cases += [(label, n, l) for n, l in grid if n >= family.least["n"]]
     for label, n, l in cases:
-        if families and label not in families:
-            continue
         basis = closure(build_family(label, n, l))
         predicted = predicted_dimension(label, n, l)
         match = basis.dim == predicted or (basis.spans_su and basis.dim + 1 == predicted)

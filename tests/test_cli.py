@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 from dataclasses import replace
 
@@ -201,6 +203,49 @@ def test_out_of_range_value_exits_2(capsys, argv, message):
     error = json.loads(err)["error"]
     assert error["type"] == "validation"
     assert message in error["message"]
+
+
+FLOAT_FLAGS = [
+    (["closure", "--family", "clifford_full", "--n", "2"], "--tol", "tol"),
+    (["compile", "--family", "clifford_two_local", "--n", "2", "--target", "cnot"],
+     "--tau-clip", "tau_clip"),
+    (["compile", "--family", "clifford_two_local", "--n", "2", "--target", "cnot"],
+     "--target-error", "target_error"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("argv, flag, name", FLOAT_FLAGS, ids=[f for _, f, _ in FLOAT_FLAGS])
+def test_float_flag_must_be_finite_and_positive(capsys, argv, flag, name, value):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_json(capsys, argv + [flag, value])
+    assert caught == []
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "validation"
+    assert f"{name} must be finite and positive" in error["message"]
+
+
+def test_huge_table_max_n_refused_at_once(capsys):
+    # the n sweep of the l-pinned families is checked before any case is listed
+    start = time.perf_counter()
+    code, out, err = run_json(capsys, ["table", "--max-n", "100000000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "validation"
+    assert "2^100000000" in error["message"]
+
+
+def test_table_max_n_unbounded_without_pinned_family(capsys):
+    # torus families take fixed cases, so --max-n does not size them
+    code, out, _ = run_json(capsys, ["table", "--max-n", "100000000", "--families",
+                                     "torus_splits"])
+    assert code == 0
+    assert [(r["n"], r["l"]) for r in json.loads(out)["rows"]] == [(1, 3), (1, 4), (2, 3)]
 
 
 @pytest.mark.parametrize("argv", [

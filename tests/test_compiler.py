@@ -181,6 +181,25 @@ def test_unrefined_error_shrinks_with_slices(two_local):
     assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
+@pytest.mark.parametrize("label, n, l, slices", [
+    ("clifford_two_local", 2, 2, 1),
+    ("clifford_two_local", 2, 2, 4),
+    ("clifford_two_local", 3, 2, 1),
+    ("torus_two_local", 2, 3, 1),
+])
+def test_refinement_never_raises_the_error(label, n, l, slices):
+    # every kept step lowers the error, and refine=False is the solve of no step
+    gens = build_family(label, n, l)
+    basis = closure(gens)
+    rng = np.random.default_rng(41)
+    for _ in range(4):
+        u = random_unitary(gens.dim, rng)
+        refined, plain = (compile(u, gens, basis, CompileConfig(slices=slices, refine=r)).report
+                          for r in (True, False))
+        assert "square_root_split" not in refined
+        assert refined["phase_invariant_error"] <= plain["phase_invariant_error"]
+
+
 def test_cnot_sweep_improves_by_ten(two_local):
     gens, basis = two_local
     rep = compile_report(CNOT, gens, basis, m_values=(1, 2, 4, 8, 16, 32, 64))
@@ -434,9 +453,9 @@ def test_compile_multiplies_no_flat_word(two_local, monkeypatch):
     # multiplies a word gate by gate
     gens, basis = two_local
     calls = []
-    chunk = compiler_mod._chunk_product
-    monkeypatch.setattr(compiler_mod, "_chunk_product",
-                        lambda *args: calls.append(1) or chunk(*args))
+    word = compiler_mod._word_product
+    monkeypatch.setattr(compiler_mod, "_word_product",
+                        lambda *args: calls.append(1) or word(*args))
     seq = compile(_su4(25), gens, basis, CompileConfig(slices=1, target_error=1e-8))
     compile(CNOT, gens, basis, CompileConfig(slices=4, merge=True))
     compile_report(_su4(26), gens, basis, (1, 2, 4))
