@@ -3,10 +3,13 @@
 The closure engine runs a breadth-first commutator sweep: the generators
 form generation 0, then every newest element is commuted with every
 earlier basis element and the commutators that leave the current span
-join the basis.  The commutators of one newest element are formed and
-projected on the frame as one batch; only those leaving it by more than
-half the admission threshold are recomputed and decided one at a time,
-and the sweep stops as soon as the frame spans su(N).
+join the basis.  Per newest element a filter picks the commutators worth
+deciding, and only those are recomputed and decided one at a time; the
+sweep stops as soon as the frame spans su(N).  On a set of scaled Pauli
+strings (the binary, l = 2, case: a Clifford algebra) the filter is exact
+bit arithmetic on the strings; any other set (the torus at l >= 3) has
+no such structure, and its commutators are projected on the frame in
+batches.  Both filters keep the same pairs on a Pauli set (see closure).
 Each element carries a recipe, a binary commutator tree over primitive
 generator ids plus one real scale, which the compiler later realises as
 nested group-commutator words.
@@ -126,8 +129,61 @@ class LieBasis:
         return max(self.recipe_residual(i, cache) for i in range(self.dim))
 
 
-# commutator rows per stacked product in the candidate filter of closure
+# commutator rows per stacked product in the dense candidate filter of closure
 _BLOCK = 64
+
+
+def _parity(a: np.ndarray, width: int) -> np.ndarray:
+    """Parity (0 or 1) of the set bits of each entry of an int array below 2^width.
+
+    Xor-folding halves the width per step, so ceil(log2(width)) steps.
+    """
+    shift = 1 << max(width - 1, 0).bit_length()
+    while shift > 1:
+        shift //= 2
+        a = a ^ (a >> shift)
+    return a & 1
+
+
+def _pauli_keys(mats: np.ndarray) -> np.ndarray | None:
+    """Packed keys (x << n) | z of generators that are each exactly s * X^x Z^z.
+
+    X^x Z^z maps |c> to (-1)^(z.c) |c ^ x> on N = 2^n basis states, so a
+    scalar multiple s of it has one nonzero entry per column, s (-1)^(z.c)
+    at row c ^ x.  x is read from the nonzero entry of row 0, s from
+    column 0 and z from the signs at c = 2^k; the stack (m, N, N) passes
+    only if every matrix equals that pattern exactly, with s nonzero.
+    None otherwise, including when N is not a power of two.
+    """
+    m, n_dim = mats.shape[:2]
+    if n_dim & (n_dim - 1) or np.count_nonzero(mats) != m * n_dim:
+        return None
+    n = n_dim.bit_length() - 1
+    c = np.arange(n_dim)
+    x = np.abs(mats[:, 0]).argmax(axis=1)
+    vals = mats[np.arange(m)[:, None], c ^ x[:, None], c]
+    s = vals[:, :1]
+    bits = 1 << np.arange(n)
+    z = (vals[:, bits] != s).dot(bits)
+    signs = 1 - 2 * _parity(z[:, None] & c, n)
+    # every nonzero entry sits on the pattern, and each equals s (-1)^(z.c)
+    if np.count_nonzero(vals) != m * n_dim or not (vals == s * signs).all():
+        return None
+    return (x << n) | z
+
+
+def _frame_candidates(basis: list[Matrix], j: int, frame: np.ndarray, half: float) -> list[int]:
+    """The i < j whose [b_i, b_j] leaves the frame (real view) by more than half."""
+    bj = basis[j]
+    keep: list[int] = []
+    for lo in range(0, j, _BLOCK):
+        b = np.stack(basis[lo:min(lo + _BLOCK, j)])
+        c = (b @ bj - bj @ b).reshape(len(b), -1).view(float)
+        res = np.linalg.norm(c - (c @ frame.T) @ frame, axis=1)
+        # a non-finite commutator goes to admit unfiltered
+        leaves = ~np.isfinite(c).all(axis=1) | (res > half)
+        keep += (lo + np.flatnonzero(leaves)).tolist()
+    return keep
 
 
 def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
@@ -140,37 +196,60 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
     is orthonormal exactly when the tree values are mutually orthogonal
     (all qubit families and the torus at (1, 3)).
 
-    Per frontier element b_j, the commutators [b_i, b_j], i < j, are
-    formed in stacked blocks of at most 64 and projected on the frame in
-    two matrix products.  One whose residual is at most thresh/2 is
-    dropped, since the frame only grows; the others, in i order, are
-    recomputed with commutator and decided as above, so the result is that
-    of deciding every pair in turn.  The sweep terminates when nothing is
-    admitted, the ambient dimension is reached, or the frame holds N^2 - 1
-    rows that leave out only the centre direction i*I (su(N) is spanned).
-    Deterministic for a fixed generator order.
+    Per frontier element b_j, a filter picks the i < j worth deciding; the
+    picked commutators, in i order, are recomputed with commutator and
+    decided as above, so the result is that of deciding every pair in
+    turn.  The filter only drops pairs that admit would refuse now and at
+    any later point of the sweep, since the frame only grows:
+
+    * When every generator is exactly a scalar times a Pauli string
+      X^x Z^z (the qubit families), every element is one, keyed by its
+      bits (x, z): a commutator of two strings is exactly 0 when they
+      commute and twice their product string, keyed x_i ^ x_j, z_i ^ z_j,
+      when they anticommute, that is when (x_i & z_j) ^ (z_i & x_j) has
+      odd parity.  The filter keeps the anticommuting i whose product
+      key no admitted element holds.
+    * Otherwise the commutators [b_i, b_j] are formed in stacked blocks
+      of at most 64 and projected on the frame in two matrix products;
+      one whose residual is at most thresh/2 is dropped.
+
+    For a Pauli set both filters keep the same pairs: a held product's
+    residual is at rounding level and a new one's is 2/sqrt(N).  The
+    sweep terminates when nothing is admitted, the ambient dimension is
+    reached, or the frame holds N^2 - 1 rows that leave out only the centre
+    direction i*I (su(N) is spanned).  A frame of N^2 rows of N^2 entries
+    is refused with CapacityError above the dimension cap, before any
+    buffer is allocated.  Deterministic for a fixed generator order.
     """
     tol = DEFAULTS.closure_tol if tol is None else tol
     if not 0 < tol < math.inf:
         raise ValueError(f"closure tol must be finite and positive, got {tol}")
     n_dim = gens.dim
+    check_capacity(n_dim, 2)
     thresh = tol * n_dim
     cap = n_dim * n_dim
     for el in gens.elements:
         if not is_anti_hermitian(el.matrix):
             raise MatrixPropertyError(f"generator {el.id} is not anti-Hermitian")
+    mats = np.stack([as_matrix(el.matrix) for el in gens.elements])
+    gen_keys = _pauli_keys(mats)
 
     # frame rows, doubled when full; flat is its real view, where
     # frob_inner(q, r) is a dot product of rows
-    buf = np.empty((len(gens.elements), n_dim, n_dim), dtype=complex)
+    buf = np.empty((len(mats), n_dim, n_dim), dtype=complex)
     flat = buf.reshape(len(buf), -1).view(float)
     cols: list[np.ndarray] = []   # frame coordinates of each element
+    # Pauli key of each element and whether an element holds a key; unused
+    # (all keys 0) for any other set.  The leaves alone may pass N^2
+    # elements under a rounding-level tol
+    keys = np.zeros(max(cap, len(mats)), dtype=np.int64)
+    held = np.zeros(cap, dtype=bool)
     out = LieBasis(
         matrix_dim=n_dim,
         generator_matrices={el.id: el.matrix for el in gens.elements},
     )
 
-    def admit(c: Matrix, recipe: Recipe, generation: int) -> bool:
+    def admit(c: Matrix, recipe: Recipe, generation: int, key: int) -> bool:
         """Add c/|c| if c leaves the span; the recipe's scale is set here."""
         nonlocal buf, flat
         k = out.dim
@@ -191,6 +270,8 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
             flat = buf.reshape(2 * k, -1).view(float)
         buf[k] = r / norm_r
         cols.append(np.append(coeffs, norm_r) / norm_c)
+        keys[k] = key
+        held[key] = True
         out.basis.append(b)
         out.recipes.append(replace(recipe, coeff=frob_inner(b, c)))
         out.generations.append(generation)
@@ -212,23 +293,19 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
             return 2 * np.linalg.norm(flat[:k] @ centre) <= half
         return k >= cap
 
-    def candidates(j: int) -> list[int]:
-        """The i < j whose [b_i, b_j] leaves the current frame by more than thresh/2.
+    if gen_keys is None:
+        def candidates(j: int) -> list[int]:
+            return _frame_candidates(out.basis, j, flat[:out.dim], half)
+    else:
+        n = n_dim.bit_length() - 1
+        odd = _parity(np.arange(cap), 2 * n).astype(bool)
 
-        The frame only grows, so a commutator dropped here would be refused
-        by admit now and at any later point of the sweep.
-        """
-        f = flat[:out.dim]
-        bj = out.basis[j]
-        keep: list[int] = []
-        for lo in range(0, j, _BLOCK):
-            b = np.stack(out.basis[lo:min(lo + _BLOCK, j)])
-            c = (b @ bj - bj @ b).reshape(len(b), -1).view(float)
-            res = np.linalg.norm(c - (c @ f.T) @ f, axis=1)
-            # a non-finite commutator goes to admit unfiltered
-            leaves = ~np.isfinite(c).all(axis=1) | (res > half)
-            keep += (lo + np.flatnonzero(leaves)).tolist()
-        return keep
+        def candidates(j: int) -> list[int]:
+            kj = int(keys[j])
+            # (x_i & z_j) ^ (z_i & x_j), packed: key i against key j with halves swapped
+            swapped = ((kj & (n_dim - 1)) << n) | (kj >> n)
+            earlier = keys[:j]
+            return np.flatnonzero(odd[earlier & swapped] & ~held[earlier ^ kj]).tolist()
 
     def pairs(frontier: list[int]):
         # candidates(j) runs when the sweep reaches j, against the frame then
@@ -236,8 +313,8 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
             for i in candidates(j):
                 yield i, j
 
-    for el in gens.elements:
-        admit(as_matrix(el.matrix), Recipe("leaf", gen_id=el.id), 0)
+    for g, el in enumerate(gens.elements):
+        admit(mats[g], Recipe("leaf", gen_id=el.id), 0, 0 if gen_keys is None else gen_keys[g])
 
     frontier = list(range(out.dim))
     generation = 0
@@ -246,7 +323,7 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
         admitted: list[int] = []
         for i, j in pairs(frontier):
             c = commutator(out.basis[i], out.basis[j])
-            if admit(c, Recipe("comm", left=i, right=j), generation):
+            if admit(c, Recipe("comm", left=i, right=j), generation, keys[i] ^ keys[j]):
                 admitted.append(out.dim - 1)
                 if spanned():
                     break
@@ -327,8 +404,10 @@ def dimension_table(
     selected = {label: family for label, family in _BUILDERS.items()
                 if family.predicted and (not families or label in families)}
     if any(family.pinned for family in selected.values()):
-        # the largest side the n sweep would build, refused before any case is listed
+        # the largest side the n sweep would build, and its closure frame,
+        # refused before any case is listed
         check_capacity(2, max_n)
+        check_capacity(2**max_n, 2)
     rows = []
     cases: list[tuple[str, int, int]] = []
     for label, family in selected.items():

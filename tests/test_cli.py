@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from liegates import linalg, symalg
+from liegates import lieclosure, linalg, symalg
 from liegates.cli import build_parser, run
 from liegates.errors import FamilyMismatchError
 from liegates.generators import GeneratorSet, relation_report
@@ -238,6 +238,29 @@ def test_huge_table_max_n_refused_at_once(capsys):
     error = json.loads(err)["error"]
     assert error["type"] == "validation"
     assert "2^100000000" in error["message"]
+
+
+def test_oversize_closure_refused_at_once(capsys):
+    # a 128 x 128 closure frame could reach 128^2 rows of 128^2 entries
+    start = time.perf_counter()
+    code, out, err = run_json(capsys, ["closure", "--family", "clifford_plus_u", "--n", "7"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "validation", "message": "matrix dimension 16384 exceeds cap 4096"}
+
+
+def test_table_max_n_refuses_oversize_closure_before_any_case(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("closure called")
+
+    monkeypatch.setattr(lieclosure, "closure", fail)
+    code, out, err = run_json(capsys, ["table", "--max-n", "7"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "validation", "message": "matrix dimension 16384 exceeds cap 4096"}
 
 
 def test_table_max_n_unbounded_without_pinned_family(capsys):

@@ -4,12 +4,17 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liegates.generators as gen_mod
 import liegates.lieclosure as lieclosure_mod
 from liegates.config import DEFAULTS
 from liegates.errors import DimensionMismatchError, MatrixPropertyError
 from liegates.generators import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     GeneratorSet,
     Generator,
     clifford_gammas,
@@ -21,6 +26,7 @@ from liegates.generators import (
 )
 from liegates.lieclosure import (
     _BUILDERS,
+    _pauli_keys,
     LieBasis,
     Recipe,
     build_family,
@@ -30,7 +36,8 @@ from liegates.lieclosure import (
     predicted_dimension,
     spin_subgroup_check,
 )
-from liegates.linalg import as_matrix, commutator, frob_inner, frob_norm, is_anti_hermitian, tensor
+from liegates.linalg import (as_matrix, commutator, frob_inner, frob_norm, is_anti_hermitian,
+                             tensor, tensor_all)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -355,10 +362,14 @@ def _all_pairs_closure(gens, tol=None):
     return out
 
 
+def _with_extra(gens, gen_id, matrix):
+    extra = Generator(gen_id, matrix, gens.n, "anti_hermitian")
+    return GeneratorSet(f"{gens.family}+{gen_id}", gens.n, gens.l, list(gens.elements) + [extra])
+
+
 def _with_centre(gens):
     # one generator carrying a trace: the closure must reach u(N), not stop at su(N)
-    centre = Generator("C", 1j * np.eye(gens.dim), gens.n, "anti_hermitian")
-    return GeneratorSet("with_centre", gens.n, gens.l, list(gens.elements) + [centre])
+    return _with_extra(gens, "C", 1j * np.eye(gens.dim))
 
 
 # the rows of dimension_table(max_n=3), then su(16)
@@ -375,6 +386,15 @@ ORACLE_CASES = [(f"{label}-{n}-{l}", partial(build_family, label, n, l), None)
     ("clifford_plus_u-2-2-tol-1e-3", lambda: clifford_plus_u(2), 1e-3),
     ("torus_splits-2-3-tol-1e-3", lambda: torus_split_set(2, 3), 1e-3),
     ("so3", _so3, None),
+    # the l = 2 splits are Pauli strings up to rounding-level phases
+    ("torus_splits-2-2", partial(torus_split_set, 2, 2), None),
+    # a second generator on the string of G0, whose leaf is refused
+    ("clifford_plus_u-2-2-duplicate-string", lambda: _with_extra(
+        clifford_plus_u(2), "G0x2.5", 2.5 * clifford_plus_u(2).matrices()[0]), None),
+    # one sum of two strings sends the whole set to the frame filter
+    ("clifford_gammas-2-one-non-pauli", lambda: _with_extra(
+        clifford_gammas(2), "GuG0", gen_mod.gamma_u(2) + 0.5 * clifford_gammas(2).matrices()[0]),
+     None),
 ]
 
 
@@ -387,7 +407,10 @@ def test_oracle_rows_are_the_dimension_table():
                          ids=[case[0] for case in ORACLE_CASES])
 def test_batched_sweep_matches_all_pairs_reference(make, tol):
     gens = make()
-    got, want = closure(gens, tol=tol), _all_pairs_closure(gens, tol=tol)
+    _assert_same_closure(closure(gens, tol=tol), _all_pairs_closure(gens, tol=tol))
+
+
+def _assert_same_closure(got, want):
     assert got.dim == want.dim
     assert all(np.array_equal(x, y) for x, y in zip(got.basis, want.basis))
     assert np.array_equal(got.frame, want.frame)
@@ -417,3 +440,74 @@ def test_exact_commutators_bounded_by_admissions(monkeypatch):
     admitted = basis.dim - basis.generations.count(0)
     assert admitted == 56
     assert len(calls) <= 2 * admitted
+
+
+# ---------------------------------------------------------------------------
+# the Pauli-string filter
+# ---------------------------------------------------------------------------
+
+_PAULI_LETTERS = {"I": np.eye(2, dtype=complex), "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
+
+
+def _string(letters: str) -> np.ndarray:
+    return tensor_all([_PAULI_LETTERS[a] for a in letters])
+
+
+@st.composite
+def _pauli_sets(draw):
+    n = draw(st.integers(1, 3))
+    strings = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=2, max_size=6))
+    scale = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+    els = [Generator(f"P{k}", 1j * draw(scale) * _string(a), n, "anti_hermitian")
+           for k, a in enumerate(strings)]
+    return GeneratorSet("pauli_strings", n, 2, els)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pauli_sets())
+def test_random_pauli_sets_match_all_pairs_reference(gens):
+    assert _pauli_keys(np.stack(gens.matrices())) is not None
+    _assert_same_closure(closure(gens), _all_pairs_closure(gens))
+
+
+def test_detector_reads_scaled_string():
+    # X Y Z: x bits 110, z bits 011 (Y = i X Z), the first factor on the high bit
+    keys = _pauli_keys(np.stack([3j * _string("XYZ"), -0.5j * _string("III")]))
+    assert keys.tolist() == [(0b110 << 3) | 0b011, 0]
+
+
+def _moved(m: np.ndarray, row: int, col: int) -> np.ndarray:
+    out = m.copy()
+    out[row, col] += 1e-15
+    return out
+
+
+@pytest.mark.parametrize("mats", [
+    [1j * (_string("XI") + _string("ZI"))],
+    [_moved(1j * _string("XY"), 0, 0)],
+    # row 0 of X Y holds its one nonzero entry, 1, at column x = 0b11
+    [1j * _string("YZ"), _moved(1j * _string("XY"), 0, 3)],
+    [np.asarray(el.matrix, dtype=complex) for el in _so3().elements],
+    # exp(i pi) carries an imaginary part of 1.2e-16 into the l = 2 torus splits
+    torus_split_set(2, 2).matrices(),
+], ids=["sum-of-two-strings", "entry-moved-1e-15", "nonzero-entry-moved-1e-15", "so3",
+        "torus-splits-2-2"])
+def test_detector_rejects_non_pauli(mats):
+    assert _pauli_keys(np.stack(mats)) is None
+
+
+def test_only_non_pauli_sets_use_the_frame_filter(monkeypatch):
+    calls = []
+    orig = lieclosure_mod._frame_candidates
+
+    def counting(*args):
+        calls.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(lieclosure_mod, "_frame_candidates", counting)
+    for label, n, l in TABLE_ROWS:
+        if label.startswith("clifford"):
+            closure(build_family(label, n, l))
+    assert calls == []
+    closure(torus_split_set(2, 3))
+    assert calls

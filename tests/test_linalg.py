@@ -13,6 +13,7 @@ from liegates.errors import (
     MatrixPropertyError,
 )
 from liegates.generators import clifford_gammas, tau, torus_T, weyl_pair
+from liegates.lieclosure import closure
 from liegates.linalg import (
     _canonical_columns,
     anticommutator,
@@ -85,7 +86,9 @@ def test_tensor_capacity():
     lambda: clifford_gammas(3),
     lambda: span_dimension(5, 1),
     lambda: span_dimension(2, 3),
-], ids=["tensor", "weyl_pair", "tau", "torus_T", "clifford_gammas", "span_l", "span_n"])
+    lambda: closure(clifford_gammas(2)),
+], ids=["tensor", "weyl_pair", "tau", "torus_T", "clifford_gammas", "span_l", "span_n",
+        "closure"])
 def test_capacity_refused_by_every_caller(monkeypatch, build):
     monkeypatch.setattr(linalg, "DEFAULTS", replace(linalg.DEFAULTS, dim_cap=4))
     with pytest.raises(CapacityError, match="exceeds cap 4"):
