@@ -317,8 +317,9 @@ def _slice_items(coords: np.ndarray, basis: LieBasis, slices: int,
                  gens: GeneratorSet, cfg: CompileConfig) -> tuple[np.ndarray, np.ndarray]:
     """One slice's word as (table rows, angles): template words, wrapped and clipped.
 
-    Angles are reduced by their generator's period and oversized ones are
-    split into equal parts; both moves leave the evaluated product unchanged.
+    With cfg.merge it is the word of all slices, runs of equal rows merged
+    first.  Angles are then reduced by their generator's period and
+    oversized ones split into equal parts; no move changes the product.
     """
     t, active, negative, angle = _slice_angles(coords, basis, slices)
     table = _eig_table(gens)
@@ -330,6 +331,9 @@ def _slice_items(coords: np.ndarray, basis: LieBasis, slices: int,
         back, np.repeat(counts - 1, counts) - pos, pos)
     row = _table_rows(basis, table, t.leaf_gen[t.node[entry]])
     tau = np.where(back, -t.sign[entry], t.sign[entry]) * angle[t.node[entry]]
+    if cfg.merge:
+        runs = merge_adjacent(list(zip(row.tolist(), tau.tolist())) * slices)
+        row, tau = np.array([g for g, _ in runs], dtype=np.intp), np.array([t for _, t in runs])
     period = table.period[row]
     # math.remainder leaves every angle within half a period unchanged
     for k in np.flatnonzero(np.abs(tau) > period / 2):
@@ -370,9 +374,9 @@ def _slice_product(coords: np.ndarray, basis: LieBasis, slices: int,
                    gens: GeneratorSet) -> Matrix:
     """Product of one slice's word, multiplied on its commutator trees.
 
-    The word of _slice_items is the product over realised elements of P or
-    P^dag (see _Templates); the period wrap and the tau_clip split leave
-    each gate unchanged, so the leaves take their raw angle.  Each leaf is
+    A slice's word is the product over realised elements of P or P^dag
+    (see _Templates); the merge, the period wrap and the tau_clip split of
+    _slice_items leave the product unchanged, so leaves take their raw angle.  Each leaf is
     exponentiated once, each commutator node is formed from its children
     one tree height at a time, and the element products are reduced
     pairwise.  Elements go in blocks whose node stack stays within
@@ -488,12 +492,8 @@ def _compile_at(plan: _Plan, slices: int) -> tuple[np.ndarray, np.ndarray, int, 
     gens, basis, cfg = plan.gens, plan.basis, plan.cfg
     coords, unit = _refine_coords(plan, slices)
     gen, tau = _slice_items(coords, basis, slices, gens, cfg)
-    reps = slices * plan.copies
-    if cfg.merge:
-        # runs merge across slices, not across the two copies of a root
-        merged = merge_adjacent(list(zip(gen.tolist(), tau.tolist())) * slices)
-        gen, tau = np.array([g for g, _ in merged], dtype=np.intp), np.array([t for _, t in merged])
-        reps = plan.copies
+    # a merged word spans the slices, not the two copies of a root
+    reps = plan.copies if cfg.merge else slices * plan.copies
     frob, phase_inv = error_metrics(plan.target,
                                     np.linalg.matrix_power(unit, slices * plan.copies))
     report = {"frob_error": frob, "phase_invariant_error": phase_inv,

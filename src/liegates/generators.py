@@ -100,21 +100,13 @@ def locality(m: Matrix, n: int, l: int) -> int:
     norm = frob_norm(m)
     if norm <= 1e-14:
         return 0
-    t = m.reshape((l,) * (2 * n))
     count = 0
     for site in range(n):
-        reduced = np.trace(t, axis1=site, axis2=n + site) / l
-        rebuilt = np.tensordot(np.eye(l), reduced, axes=0)
-        # axes of rebuilt: (i_site, j_site, remaining i's, remaining j's);
-        # send them back to the (i_0..i_{n-1}, j_0..j_{n-1}) layout
-        dst = [site, n + site]
-        for idx in range(n - 1):
-            dst.append(idx if idx < site else idx + 1)
-        for idx in range(n - 1):
-            dst.append(n + (idx if idx < site else idx + 1))
-        rebuilt = np.moveaxis(rebuilt, range(2 * n), dst)
-        if frob_norm(t - rebuilt) > 1e-9 * norm:
-            count += 1
+        # rows and columns split as (sites before, this site, sites after)
+        t = m.reshape((l**site, l, l**(n - site - 1)) * 2)
+        reduced = np.einsum("aibcid->abcd", t) / l
+        rebuilt = np.einsum("abcd,ij->aibcjd", reduced, np.eye(l))
+        count += frob_norm(t - rebuilt) > 1e-9 * norm
     return count
 
 
@@ -132,15 +124,22 @@ def pauli() -> GeneratorSet:
     return GeneratorSet("pauli", 1, 2, els)
 
 
+def _root(k: int, m: int) -> complex:
+    """exp(2 pi i k / m), exactly 1, i, -1 or -i at a quarter turn."""
+    if 4 * k % m == 0:
+        return complex((1, 1j, -1, -1j)[4 * k // m % 4])
+    return cmath.exp(2j * math.pi * k / m)
+
+
 def weyl_pair(l: int) -> GeneratorSet:
-    """Cyclic shift U and clock diagonal V with U V = zeta V U."""
+    """Cyclic shift U and clock V = diag(zeta^k), exact at quarter turns; U V = zeta V U."""
     if l < 2:
         raise ValueError("weyl_pair needs l >= 2")
     check_capacity(l)
     u = np.zeros((l, l), dtype=complex)
     for k in range(l):
         u[k, (k + 1) % l] = 1.0
-    v = np.diag([cmath.exp(2j * math.pi * k / l) for k in range(l)])
+    v = np.diag([_root(k, l) for k in range(l)])
     els = [
         Generator("U", u, 1, _hermiticity_of(u)),
         Generator("V", v, 1, _hermiticity_of(v)),
@@ -149,8 +148,8 @@ def weyl_pair(l: int) -> GeneratorSet:
 
 
 def mu_phase(l: int) -> complex:
-    """Primitive 2l-th root of unity mu = exp(i pi / l); zeta = mu^2."""
-    return cmath.exp(1j * math.pi / l)
+    """Primitive 2l-th root of unity mu = exp(i pi / l), exactly i at l = 2; zeta = mu^2."""
+    return _root(1, 2 * l)
 
 
 def tau(l: int) -> GeneratorSet:
@@ -222,7 +221,7 @@ def torus_T(n: int, l: int) -> GeneratorSet:
 
     T_{2k} = I^(n-k-1) tau_x tau_z^k and T_{2k+1} = I^(n-k-1) tau_y tau_z^k.
     They satisfy T_j T_k = zeta T_k T_j for j < k and T_k^l = I.  At l = 2
-    every T_k is Hermitian and equals Gamma_k / i.
+    every T_k is Hermitian and equals Gamma_k / i exactly, entry for entry.
     """
     if n < 1 or l < 2:
         raise ValueError("torus_T needs n >= 1 and l >= 2")
@@ -316,10 +315,6 @@ def clifford_plus_u(n: int) -> GeneratorSet:
 # relation checks
 # ---------------------------------------------------------------------------
 
-def _zeta(l: int) -> complex:
-    return cmath.exp(2j * math.pi / l)
-
-
 def _anticommutation(name: str, square: float):
     """{a_i, a_j} = 2 delta_ij square I: Pauli matrices square to +I, gammas to -I."""
     def checks(gens: GeneratorSet, mats: list[Matrix], eye: Matrix) -> list:
@@ -335,7 +330,7 @@ def _anticommutation(name: str, square: float):
 def _torus_relations(prefix: str):
     """T_j T_k = zeta T_k T_j for j < k and T^l = I (tau is the n = 1 case)."""
     def checks(gens: GeneratorSet, mats: list[Matrix], eye: Matrix) -> list:
-        zeta = _zeta(gens.l)
+        zeta = _root(1, gens.l)
         worst = 0.0
         for j in range(len(mats)):
             for k in range(j + 1, len(mats)):
@@ -348,7 +343,7 @@ def _torus_relations(prefix: str):
 def _weyl_relations(gens: GeneratorSet, mats: list[Matrix], eye: Matrix) -> list:
     u, v = mats
     return [
-        ("weyl_commutation", max_abs(u @ v - _zeta(gens.l) * (v @ u))),
+        ("weyl_commutation", max_abs(u @ v - _root(1, gens.l) * (v @ u))),
         ("shift_order", max_abs(np.linalg.matrix_power(u, gens.l) - eye)),
         ("clock_order", max_abs(np.linalg.matrix_power(v, gens.l) - eye)),
     ]

@@ -180,9 +180,7 @@ def _frame_candidates(basis: list[Matrix], j: int, frame: np.ndarray, half: floa
         b = np.stack(basis[lo:min(lo + _BLOCK, j)])
         c = (b @ bj - bj @ b).reshape(len(b), -1).view(float)
         res = np.linalg.norm(c - (c @ frame.T) @ frame, axis=1)
-        # a non-finite commutator goes to admit unfiltered
-        leaves = ~np.isfinite(c).all(axis=1) | (res > half)
-        keep += (lo + np.flatnonzero(leaves)).tolist()
+        keep += (lo + np.flatnonzero(res > half)).tolist()
     return keep
 
 
@@ -203,7 +201,7 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
     any later point of the sweep, since the frame only grows:
 
     * When every generator is exactly a scalar times a Pauli string
-      X^x Z^z (the qubit families), every element is one, keyed by its
+      X^x Z^z (every l = 2 family), every element is one, keyed by its
       bits (x, z): a commutator of two strings is exactly 0 when they
       commute and twice their product string, keyed x_i ^ x_j, z_i ^ z_j,
       when they anticommute, that is when (x_i & z_j) ^ (z_i & x_j) has
@@ -219,7 +217,8 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
     reached, or the frame holds N^2 - 1 rows that leave out only the centre
     direction i*I (su(N) is spanned).  A frame of N^2 rows of N^2 entries
     is refused with CapacityError above the dimension cap, before any
-    buffer is allocated.  Deterministic for a fixed generator order.
+    buffer is allocated, and a generator whose norm overflows with
+    MatrixPropertyError.  Deterministic for a fixed generator order.
     """
     tol = DEFAULTS.closure_tol if tol is None else tol
     if not 0 < tol < math.inf:
@@ -231,6 +230,9 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
     for el in gens.elements:
         if not is_anti_hermitian(el.matrix):
             raise MatrixPropertyError(f"generator {el.id} is not anti-Hermitian")
+        with np.errstate(over="ignore"):
+            if not math.isfinite(frob_norm(el.matrix)):
+                raise MatrixPropertyError(f"generator {el.id} has a norm that overflows")
     mats = np.stack([as_matrix(el.matrix) for el in gens.elements])
     gen_keys = _pauli_keys(mats)
 

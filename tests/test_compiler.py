@@ -301,6 +301,20 @@ def test_merge_config_flag(two_local):
     assert seq.items == [("G0", pytest.approx(0.3, abs=1e-12))]
 
 
+@pytest.mark.parametrize("seed", [3, 27, 28])
+def test_merge_runs_before_the_clip(two_local, seed):
+    # a merge after the clip would fuse the equal parts of a clipped angle
+    gens, basis = two_local
+    table = _eig_table(gens)
+    target = _su4(seed)
+    seq = compile(target, gens, basis, CompileConfig(slices=2, tau_clip=0.1, merge=True))
+    for gen_id, t in seq.items:
+        assert abs(t) <= 0.1 + 1e-12
+        assert abs(t) <= table.period[table.index[gen_id]] / 2
+    measured = phase_invariant_dist(target, evaluate(seq, gens))
+    assert abs(seq.report["phase_invariant_error"] - measured) <= 1e-12
+
+
 def test_tau_wrap_keeps_angles_bounded(two_local):
     gens, basis = two_local
     u = expm_antiherm(3.0 * gens.by_id("G0").matrix)

@@ -14,6 +14,7 @@ from liegates.generators import (
     gamma_u,
     hermitian_split,
     locality,
+    mu_phase,
     pauli,
     relation_report,
     tau,
@@ -169,6 +170,34 @@ def test_torus_qubit_case_matches_gammas():
     gs = clifford_gammas(2)
     for t_el, g_el in zip(ts.elements, gs.elements):
         assert max_abs(t_el.matrix - g_el.matrix / 1j) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_binary_torus_is_the_gammas_exactly(n):
+    pairs = zip(torus_T(n, 2).matrices(), clifford_gammas(n).matrices())
+    assert all(np.array_equal(1j * t, g) for t, g in pairs)
+
+
+def test_binary_tau_is_pauli_exactly():
+    pairs = zip(tau(2).matrices(), (SIGMA_X, SIGMA_Y, SIGMA_Z))
+    assert all(np.array_equal(t, s) for t, s in pairs)
+
+
+def test_quarter_turn_clock_is_exact():
+    assert np.array_equal(weyl_pair(4).by_id("V").matrix, np.diag([1, 1j, -1, -1j]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_binary_torus_relations_hold_exactly(n):
+    assert relation_report(torus_T(n, 2))["max_violation"] == 0.0
+
+
+@pytest.mark.parametrize("l", [3, 5])
+def test_roots_off_quarter_turns_are_unchanged(l):
+    clock = np.diag([cmath.exp(2j * math.pi * k / l) for k in range(l)])
+    assert weyl_pair(l).by_id("V").matrix.tobytes() == clock.tobytes()
+    mu = np.complex128(cmath.exp(1j * math.pi / l))
+    assert np.complex128(mu_phase(l)).tobytes() == mu.tobytes()
 
 
 def test_torus_hermiticity_labels():

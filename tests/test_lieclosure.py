@@ -98,6 +98,23 @@ def test_closure_rejects_non_anti_hermitian():
         closure(torus_T(1, 3))
 
 
+def _x_and_z(scale):
+    return GeneratorSet("xz", 1, 2, [Generator("X", scale * 1j * SX, 1, "anti_hermitian"),
+                                     Generator("Z", 1j * SZ, 1, "anti_hermitian")])
+
+
+def test_closure_refuses_generator_whose_norm_overflows():
+    with pytest.raises(MatrixPropertyError, match="generator X"):
+        closure(_x_and_z(1e200))
+
+
+def test_closure_of_large_finite_generator():
+    # |1e150 X|^2 = 2e300 is still finite: su(2), every element finite
+    basis = closure(_x_and_z(1e150))
+    assert basis.dim == 3 and basis.spans_su
+    assert np.isfinite(basis.stacked()).all() and np.isfinite(basis.tri).all()
+
+
 def test_basis_orthonormal_and_anti_hermitian():
     basis = closure(two_local_clifford_set(2))
     stack = basis.stacked()
@@ -372,6 +389,10 @@ def _with_centre(gens):
     return _with_extra(gens, "C", 1j * np.eye(gens.dim))
 
 
+# the torus sets at l = 2, whose roots of unity are exact quarter turns
+BINARY_TORUS_SETS = [("torus_splits", n) for n in (1, 2, 3)] + [
+    ("torus_two_local", n) for n in (2, 3)]
+
 # the rows of dimension_table(max_n=3), then su(16)
 TABLE_ROWS = [
     ("clifford_full", 1, 2), ("clifford_full", 2, 2), ("clifford_full", 3, 2),
@@ -386,8 +407,9 @@ ORACLE_CASES = [(f"{label}-{n}-{l}", partial(build_family, label, n, l), None)
     ("clifford_plus_u-2-2-tol-1e-3", lambda: clifford_plus_u(2), 1e-3),
     ("torus_splits-2-3-tol-1e-3", lambda: torus_split_set(2, 3), 1e-3),
     ("so3", _so3, None),
-    # the l = 2 splits are Pauli strings up to rounding-level phases
-    ("torus_splits-2-2", partial(torus_split_set, 2, 2), None),
+    # the l = 2 torus sets are exact Pauli sets: the bit filter against the oracle
+    *[(f"{label}-{n}-2", partial(build_family, label, n, 2), None)
+      for label, n in BINARY_TORUS_SETS],
     # a second generator on the string of G0, whose leaf is refused
     ("clifford_plus_u-2-2-duplicate-string", lambda: _with_extra(
         clifford_plus_u(2), "G0x2.5", 2.5 * clifford_plus_u(2).matrices()[0]), None),
@@ -488,12 +510,15 @@ def _moved(m: np.ndarray, row: int, col: int) -> np.ndarray:
     # row 0 of X Y holds its one nonzero entry, 1, at column x = 0b11
     [1j * _string("YZ"), _moved(1j * _string("XY"), 0, 3)],
     [np.asarray(el.matrix, dtype=complex) for el in _so3().elements],
-    # exp(i pi) carries an imaginary part of 1.2e-16 into the l = 2 torus splits
-    torus_split_set(2, 2).matrices(),
-], ids=["sum-of-two-strings", "entry-moved-1e-15", "nonzero-entry-moved-1e-15", "so3",
-        "torus-splits-2-2"])
+], ids=["sum-of-two-strings", "entry-moved-1e-15", "nonzero-entry-moved-1e-15", "so3"])
 def test_detector_rejects_non_pauli(mats):
     assert _pauli_keys(np.stack(mats)) is None
+
+
+@pytest.mark.parametrize("label, n", BINARY_TORUS_SETS,
+                         ids=[f"{label}-{n}-2" for label, n in BINARY_TORUS_SETS])
+def test_detector_accepts_binary_torus(label, n):
+    assert _pauli_keys(np.stack(build_family(label, n, 2).matrices())) is not None
 
 
 def test_only_non_pauli_sets_use_the_frame_filter(monkeypatch):
@@ -505,8 +530,8 @@ def test_only_non_pauli_sets_use_the_frame_filter(monkeypatch):
         return orig(*args)
 
     monkeypatch.setattr(lieclosure_mod, "_frame_candidates", counting)
-    for label, n, l in TABLE_ROWS:
-        if label.startswith("clifford"):
+    for label, n, l in TABLE_ROWS + [(label, n, 2) for label, n in BINARY_TORUS_SETS]:
+        if l == 2:
             closure(build_family(label, n, l))
     assert calls == []
     closure(torus_split_set(2, 3))
