@@ -3,35 +3,48 @@
 Given a target unitary and a generator set whose Lie closure is known, the
 compiler takes the principal logarithm, reads off coordinates in the
 closure basis, and emits a first-order product of slices; each coordinate
-is realised either as a primitive exponential or as a nested
-group-commutator word following the element's recipe tree, so
+is realised as a primitive exponential or as a word following the
+element's recipe tree.  Which word depends on the generators, the paper's
+binary/non-binary split:
 
-    exp(t P) exp(t Q) exp(-t P) exp(-t Q)  ~  exp(t^2 [P, Q]).
+* Binary (every generator exactly a scaled Pauli string: every l = 2
+  set).  The children of a commutator node anticommute (a commuting pair
+  has commutator 0 and is never admitted) and each squares to a multiple
+  of -I, so a quarter turn of one child conjugates the other's
+  exponential onto the node exactly,
 
-The plain scheme converges to the target only like 1 / sqrt(slices), far
-too slowly to be useful, so by default the coordinates are re-solved by a
-fixed-point iteration against the actual slice product, whose every full
-step is kept only while it lowers the error; this keeps the gate
-alphabet, the word structure and the gate count unchanged while driving
-the error to the numerical floor whenever the iteration contracts.
-All reported errors use the global-phase-invariant distance; the trace
-part of the logarithm (a pure global phase) is projected out before the
-coordinate solve.
+      exp(pi/4 A) exp(t B) exp(-pi/4 A) = exp(t A B),   A^2 = -I, AB = -BA.
+
+  Each element's word is exp(theta b) up to rounding, and a slice is the
+  closed-form product of cos(theta / sqrt(N)) I + sqrt(N) sin(theta /
+  sqrt(N)) b over its elements: only the first-order splitting error
+  O(|theta|^2 / slices) remains.
+* Non-binary (the torus at l >= 3, any other set).  Nested group
+  commutators, exp(t P) exp(t Q) exp(-t P) exp(-t Q) ~ exp(t^2 [P, Q]),
+  whose plain product converges only like 1 / sqrt(slices).
+
+By default the coordinates are re-solved by a fixed-point iteration
+against the actual slice product, whose every full step is kept only
+while it lowers the error; this keeps the gate alphabet, the word
+structure and the gate count unchanged while driving the error to the
+numerical floor whenever the iteration contracts.  All reported errors
+use the global-phase-invariant distance; the trace part of the logarithm
+(a pure global phase) is projected out before the coordinate solve.
 
 Every mode runs one pipeline: `_plan` analyses the target once (checks,
 square-root split at the branch cut, logarithm, coordinates) and
 `_compile_at` refines, builds and evaluates the word of one slice count.
-A depth-d word has 4^d gates but only 2^d distinct leaf exponentials: an
-element's word at a negative angle is the adjoint of its word at the
-positive one, and a commutator node is P_L P_R P_L^dag P_R^dag =
-(P_L P_R)(P_R P_L)^dag.  Refinement and reports therefore multiply a slice
-on its commutator trees, exponentiating each leaf once and going up one
-tree height at a time in stacked products, in blocks of elements with a
-bounded node stack.  Words stay arrays of generator table rows and angles;
-(id, tau) pairs are built once, for the returned GateSequence.  `evaluate`
-is the flat reference: it multiplies any sequence 256 gates at a time.
-Its gates and the tree leaves come from one kernel, a stacked product
-over each generator's cached eigenbasis.
+A depth-d group-commutator word has 4^d gates but only 2^d distinct leaf
+exponentials: an element's word at a negative angle is the adjoint of its
+word at the positive one, and a commutator node is P_L P_R P_L^dag P_R^dag
+= (P_L P_R)(P_R P_L)^dag.  Refinement and reports therefore multiply such
+a slice on its commutator trees, exponentiating each leaf once and going
+up one tree height at a time in stacked products, in blocks of elements
+with a bounded node stack.  Words stay arrays of generator table rows and
+angles; (id, tau) pairs are built once, for the returned GateSequence.
+`evaluate` is the flat reference: it multiplies any sequence 256 gates at
+a time.  Its gates and the tree leaves come from one kernel, a stacked
+product over each generator's cached eigenbasis.
 """
 
 from __future__ import annotations
@@ -53,7 +66,7 @@ from .errors import (
     UnknownGeneratorError,
 )
 from .generators import GeneratorSet
-from .lieclosure import LieBasis, membership
+from .lieclosure import LieBasis, _pauli_keys, membership
 from .linalg import (
     Matrix,
     as_matrix,
@@ -216,26 +229,41 @@ _TREE_BYTES = 1 << 20
 
 
 class _Templates(NamedTuple):
-    """Every basis element's unfolded recipe tree and group-commutator word.
+    """Every basis element's unfolded recipe tree and word.
 
     Nodes are numbered element by element, each element's root first and
-    every node after its parent.  For a coordinate theta a node's magnitude
-    is |theta| at the root and sqrt(magnitude / |coeff|) of its parent below
-    it, and its angle is magnitude / coeff.  P_k, the word of node k for a
-    positive theta, is exp(A * angle) at a leaf and P_f P_s P_f^dag P_s^dag
-    at a commutator, as exp(tP) exp(tQ) exp(-tP) exp(-tQ) realises
-    t^2 [P, Q]; f, s are its children in recipe order, swapped when its
-    coeff is negative.  A negative theta realises P^dag: the element's word
-    read backwards with every sign flipped.
+    every node after its parent.  For a coordinate theta a node's value is
+    |theta| at the root, and its angle is value / coeff.  P_k, the word of
+    node k for a positive theta, is exp(A * angle) at a leaf; at a
+    commutator it depends on the set.
+
+    * Group commutators (any set): a node's value is sqrt(value / |coeff|)
+      of its parent and P_k = P_f P_s P_f^dag P_s^dag, as exp(tP) exp(tQ)
+      exp(-tP) exp(-tQ) realises t^2 [P, Q]; f, s are its children in
+      recipe order, swapped when its coeff is negative.
+    * Exact words (exact, every generator a scaled Pauli string): children
+      anticommute and square to -I/N, so with A = sqrt(N) b_f,
+      exp(pi/4 A) exp(t b_s) exp(-pi/4 A) = exp(t sqrt(N) [b_f, b_s] / 2).
+      f, the conjugator, is the child of the shorter word (the left one on
+      a tie) and has value pi sqrt(N) / 4; s, the carrier, has its parent's
+      value times gain, 2 / (sqrt(N) coeff), negated when f is the right
+      child.  P_k = P_f P_s P_f^dag realises exp(theta b) for b the
+      recipe's value, orient times the basis element.
+
+    A negative theta realises P^dag: the element's word read backwards
+    with every sign flipped.
     """
+    exact: bool             # exact Pauli-rotation words, else group commutators
     node_start: np.ndarray  # (dim + 1,) first node of each element
     word_start: np.ndarray  # (dim + 1,) first word entry of each element
     parent: np.ndarray      # parent node, -1 at a root
     coeff: np.ndarray       # coeff of each node's recipe
     by_depth: tuple         # non-root nodes, one array per distance from the root
     height: np.ndarray      # 0 at a leaf, else 1 + the larger child height
-    first: np.ndarray       # children of a commutator node in product order,
-    second: np.ndarray      # -1 at a leaf
+    first: np.ndarray       # children of a commutator node in product order (an
+    second: np.ndarray      # exact word's conjugator, carrier), -1 at a leaf
+    gain: np.ndarray        # exact words: a carrier's value per unit of its parent's
+    orient: np.ndarray      # (dim,) sign of each element's recipe scale
     leaf_gen: np.ndarray    # generator of a leaf node by basis position, -1 elsewhere
     node: np.ndarray        # leaf node of each word entry (positive theta)
     sign: np.ndarray        # +1 or -1 per entry, times the leaf's angle
@@ -246,24 +274,32 @@ def _templates(basis: LieBasis) -> _Templates:
     if basis._templates is not None:
         return basis._templates
     position = {gen_id: k for k, gen_id in enumerate(basis.generator_matrices)}
-    parent, coeff, depth, height, first, second, leaf_gen = ([] for _ in range(7))
+    mats = list(basis.generator_matrices.values())
+    exact = bool(mats) and _pauli_keys(np.stack(mats)) is not None
+    root_n = math.sqrt(basis.matrix_dim)
+    parent, coeff, depth, height, first, second, gain, leaf_gen = ([] for _ in range(8))
 
     def unfold(i: int, up: int) -> tuple[int, list]:
         # node k and its positive-theta word as (leaf node, sign) entries
         k, rec = len(parent), basis.recipes[i]
         for column, value in ((parent, up), (coeff, rec.coeff),
                               (depth, depth[up] + 1 if up >= 0 else 0), (height, 0),
-                              (first, -1), (second, -1), (leaf_gen, -1)):
+                              (first, -1), (second, -1), (gain, 0.0), (leaf_gen, -1)):
             column.append(value)
         if rec.kind == "leaf":
             leaf_gen[k] = position[rec.gen_id]
             return k, [(k, 1.0)]
         (f, f_word), (s, s_word) = unfold(rec.left, k), unfold(rec.right, k)
-        if rec.coeff < 0:
+        swap = len(s_word) < len(f_word) if exact else rec.coeff < 0
+        if swap:
             (f, f_word), (s, s_word) = (s, s_word), (f, f_word)
+        if exact:
+            gain[s] = (-2.0 if swap else 2.0) / (root_n * rec.coeff)
+            inverse = f_word[::-1]
+        else:
+            inverse = f_word[::-1] + s_word[::-1]
         height[k], first[k], second[k] = 1 + max(height[f], height[s]), f, s
-        inverse = [(node, -e) for node, e in f_word[::-1] + s_word[::-1]]
-        return k, f_word + s_word + inverse
+        return k, f_word + s_word + [(node, -e) for node, e in inverse]
 
     node_start, word_start, word = [0], [0], []
     for i in range(basis.dim):
@@ -272,36 +308,51 @@ def _templates(basis: LieBasis) -> _Templates:
         word_start.append(len(word))
     depth = np.array(depth, dtype=np.intp)
     node, sign = (np.array(col) for col in zip(*word)) if word else [np.empty(0)] * 2
+    coeff = np.array(coeff, dtype=float)
+    # the recipe scale is the product of the coeffs of an element's nodes
+    flips = np.concatenate(([0], np.cumsum(coeff < 0)))[node_start]
 
     def ints(values):
         return np.array(values, dtype=np.intp)
 
     basis._templates = _Templates(
-        ints(node_start), ints(word_start), ints(parent), np.array(coeff, dtype=float),
+        exact, ints(node_start), ints(word_start), ints(parent), coeff,
         tuple(np.flatnonzero(depth == d) for d in range(1, depth.max(initial=0) + 1)),
-        ints(height), ints(first), ints(second), ints(leaf_gen), ints(node), sign.astype(float),
+        ints(height), ints(first), ints(second), np.array(gain, dtype=float),
+        1.0 - 2.0 * (np.diff(flips) % 2), ints(leaf_gen), ints(node), sign.astype(float),
     )
     return basis._templates
+
+
+def _active(coords: np.ndarray, slices: int) -> tuple[np.ndarray, np.ndarray]:
+    """One slice's coordinates and the elements it realises."""
+    theta = coords / slices
+    return theta, np.flatnonzero((np.abs(coords) >= 1e-14) & (np.abs(theta) >= 1e-15))
 
 
 def _slice_angles(coords: np.ndarray, basis: LieBasis, slices: int):
     """Templates, realised elements, whether their theta is negative, and node angles.
 
-    Angles under 1e-15 are dropped; a commutator's scale |[b_i, b_j]| is at
-    most 2, so below the root every magnitude is at least sqrt(1e-15 / 2)
-    and only the root can fall under the cut.  Magnitudes are computed one
-    depth at a time for every node; sqrt and division are correctly
-    rounded, so they are those of a node-by-node pass, bit for bit.
+    Angles under 1e-15 are dropped.  In a group-commutator word a
+    commutator's scale |[b_i, b_j]| is at most 2, so below the root every
+    value is at least sqrt(1e-15 / 2) and only the root can fall under the
+    cut; in an exact word a carrier scales with the root and a conjugator
+    is fixed.  Values are computed one depth at a time for every node;
+    sqrt, products and division are correctly rounded, so they are those of
+    a node-by-node pass, bit for bit.
     """
     t = _templates(basis)
-    theta = coords / slices
-    active = np.flatnonzero((np.abs(coords) >= 1e-14) & (np.abs(theta) >= 1e-15))
-    mag = np.zeros(len(t.parent))
-    mag[t.node_start[active]] = np.abs(theta[active])
+    theta, active = _active(coords, slices)
+    value = np.zeros(len(t.parent))
+    value[t.node_start[active]] = np.abs(theta[active])
+    quarter = math.pi * math.sqrt(basis.matrix_dim) / 4
     for nodes in t.by_depth:
         up = t.parent[nodes]
-        mag[nodes] = np.sqrt(mag[up] / np.abs(t.coeff[up]))
-    return t, active, theta[active] < 0, mag / t.coeff
+        if t.exact:
+            value[nodes] = np.where(t.first[up] == nodes, quarter, value[up] * t.gain[nodes])
+        else:
+            value[nodes] = np.sqrt(value[up] / np.abs(t.coeff[up]))
+    return t, active, theta[active] < 0, value / t.coeff
 
 
 def _table_rows(basis: LieBasis, table: _EigTable, gen: np.ndarray) -> np.ndarray:
@@ -372,16 +423,30 @@ def _tree_block(t: _Templates, elems: np.ndarray, negative: np.ndarray, angle: n
 
 def _slice_product(coords: np.ndarray, basis: LieBasis, slices: int,
                    gens: GeneratorSet) -> Matrix:
-    """Product of one slice's word, multiplied on its commutator trees.
+    """Product of one slice's word.
 
     A slice's word is the product over realised elements of P or P^dag
     (see _Templates); the merge, the period wrap and the tau_clip split of
-    _slice_items leave the product unchanged, so leaves take their raw angle.  Each leaf is
-    exponentiated once, each commutator node is formed from its children
+    _slice_items leave the product unchanged.  An exact word is
+    exp(theta b) for b = orient * b_j with b^2 = -I/N, so the slice is the
+    ordered product of cos(theta / sqrt(N)) I + sqrt(N) sin(theta / sqrt(N)) b,
+    reduced pairwise; its stack is at most the size of the basis.  Group
+    commutators are multiplied on their trees: each leaf, at its raw angle,
+    is exponentiated once, each commutator node is formed from its children
     one tree height at a time, and the element products are reduced
     pairwise.  Elements go in blocks whose node stack stays within
     _TREE_BYTES (or holds one element).
     """
+    t = _templates(basis)
+    if t.exact:
+        theta, active = _active(coords, slices)
+        n = basis.matrix_dim
+        if not len(active):
+            return np.eye(n, dtype=complex)
+        x = theta[active] / math.sqrt(n)
+        b = np.stack([basis.basis[j] for j in active])
+        return _reduce(np.cos(x)[:, None, None] * np.eye(n)
+                       + (math.sqrt(n) * np.sin(x) * t.orient[active])[:, None, None] * b)
     t, active, negative, angle = _slice_angles(coords, basis, slices)
     table = _eig_table(gens)
     budget = _TREE_BYTES // (16 * gens.dim**2)
@@ -486,7 +551,7 @@ def _plan(u, gens: GeneratorSet, basis: LieBasis, cfg: CompileConfig) -> _Plan:
 def _compile_at(plan: _Plan, slices: int) -> tuple[np.ndarray, np.ndarray, int, dict]:
     """One slice count's word, a unit of table rows and angles repeated reps times.
 
-    The report measures the slice's tree product raised to the slice count;
+    The report measures the slice product raised to the slice count;
     the word itself is built once, for the caller.
     """
     gens, basis, cfg = plan.gens, plan.basis, plan.cfg

@@ -12,7 +12,8 @@ no such structure, and its commutators are projected on the frame in
 batches.  Both filters keep the same pairs on a Pauli set (see closure).
 Each element carries a recipe, a binary commutator tree over primitive
 generator ids plus one real scale, which the compiler later realises as
-nested group-commutator words.
+a word: exact quarter-turn conjugations on a Pauli set, nested group
+commutators otherwise.
 
 Every basis element is its own normalised tree value, so its recipe
 reproduces it up to rounding.  Span and rank decisions use an orthonormal

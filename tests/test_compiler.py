@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -165,13 +166,16 @@ def test_commutator_recipe_target(two_local):
 
 
 def test_unrefined_error_shrinks_with_slices(two_local):
+    # a single element's word is exact at any slice count, so the target
+    # mixes a depth-one element with a generator it does not commute with
     gens, basis = two_local
     depth_one = next(
         i for i in range(basis.dim)
         if basis.recipes[i].kind == "comm" and basis.depth(i) == 1
     )
-    u = expm_antiherm(0.2 * basis.basis[depth_one])
-    cfg = CompileConfig(refine=False)
+    a = basis.basis[depth_one]
+    b = next(m for m in basis.basis[:len(gens.elements)] if frob_norm(a @ m - m @ a) > 0.1)
+    u = expm_antiherm(0.2 * a + 0.3 * b)
     errs = [
         compile(u, gens, basis, CompileConfig(slices=m, refine=False)).report[
             "phase_invariant_error"
@@ -200,8 +204,11 @@ def test_refinement_never_raises_the_error(label, n, l, slices):
         assert refined["phase_invariant_error"] <= plain["phase_invariant_error"]
 
 
-def test_cnot_sweep_improves_by_ten(two_local):
-    gens, basis = two_local
+def test_cnot_sweep_improves_by_ten():
+    # on every l = 2 set CNOT is exact at one slice (see
+    # test_commuting_string_targets_exact_at_one_slice); the l = 4 torus
+    # realises it with group commutators, whose sweep has room to improve
+    gens, basis = _closed("torus_splits", 1, 4)
     rep = compile_report(CNOT, gens, basis, m_values=(1, 2, 4, 8, 16, 32, 64))
     errs = [r["phase_invariant_error"] for r in rep["rows"]]
     assert errs[-1] * 10 <= errs[0]
@@ -261,7 +268,14 @@ def test_target_analysed_once_per_call(two_local, monkeypatch):
     compile_report(CNOT, gens, basis, (1, 2, 4, 8))
     assert len(calls) == 1
     calls.clear()
-    seq = compile(CNOT, gens, basis, CompileConfig(target_error=1e-12))
+    # CNOT meets 1e-12 at the first slice count; a Haar target with an
+    # eigenphase at pi is split as well and has to climb
+    rng = np.random.default_rng(9)
+    w = random_unitary(4, rng)
+    phases = rng.uniform(-np.pi, np.pi, size=4)
+    phases[0] = np.pi
+    seq = compile((w * np.exp(1j * phases)) @ w.conj().T, gens, basis,
+                  CompileConfig(target_error=1e-12))
     assert seq.report["slice_count"] > 2   # the climb compiled several slice counts
     assert len(calls) == 1
 
@@ -342,9 +356,10 @@ def test_gate_sequence_dataclass():
     assert seq.gate_count == 1
 
 
-# -- reference realisation: the recursive group-commutator expansion ---------
+# -- reference realisations --------------------------------------------------
 
 def _realize(basis, idx, theta, out):
+    """The recursive group-commutator expansion (the torus at l >= 3)."""
     if abs(theta) < 1e-15:
         return
     rec = basis.recipes[idx]
@@ -359,6 +374,35 @@ def _realize(basis, idx, theta, out):
     _realize(basis, right, t, out)
     _realize(basis, left, -t, out)
     _realize(basis, right, -t, out)
+
+
+def _exact_length(basis, idx):
+    rec = basis.recipes[idx]
+    if rec.kind == "leaf":
+        return 1
+    a, b = _exact_length(basis, rec.left), _exact_length(basis, rec.right)
+    return min(2 * a + b, 2 * b + a)
+
+
+def _realize_exact(basis, idx, theta, out):
+    """The recursive conjugation expansion (every l = 2 set).
+
+    For anticommuting A, B with A^2 = -I, exp(pi/4 A) exp(t B) exp(-pi/4 A)
+    = exp(t A B): the child of the shorter word (the left one on a tie)
+    takes a quarter turn and conjugates the other, whose angle carries theta.
+    """
+    rec = basis.recipes[idx]
+    if rec.kind == "leaf":
+        out.append((rec.gen_id, theta / rec.coeff))
+        return
+    root = math.sqrt(basis.matrix_dim)
+    quarter = math.pi * root / 4
+    swap = _exact_length(basis, rec.right) < _exact_length(basis, rec.left)
+    conj, carrier = (rec.right, rec.left) if swap else (rec.left, rec.right)
+    t = theta * ((-2.0 if swap else 2.0) / (root * rec.coeff))
+    _realize_exact(basis, conj, quarter, out)
+    _realize_exact(basis, carrier, t, out)
+    _realize_exact(basis, conj, -quarter, out)
 
 
 def _wrap_and_clip(items, gens, clip, hits):
@@ -380,18 +424,21 @@ def _wrap_and_clip(items, gens, clip, hits):
     return out
 
 
+# the closure families at l = 2 (every one a Pauli set) and at l = 3
+_ORACLE_SETS = [(label, 2, 2) for label, f in FAMILIES.items() if f.predicted] + [
+    ("torus_splits", 1, 3), ("torus_two_local", 2, 3)]
+
+
 def _oracle_cases():
     """(gens, basis, coords, slices) over the closure families, scales and slice counts.
 
     Signs are mixed, every fifth coordinate is zero, and the last one is a
     commutator coordinate of 3e-14, dropped at 64 slices (under 1e-15).
     Each family also runs with every recipe coeff negated, which swaps the
-    order of every commutator.
+    order of every group commutator and negates every exact word's angles.
     """
     rng = np.random.default_rng(40)
-    # the closure families: those with a predicted dimension
-    for label in [label for label, f in FAMILIES.items() if f.predicted]:
-        n, l = {"torus_splits": (1, 3), "torus_two_local": (2, 3)}.get(label, (2, 2))
+    for label, n, l in _ORACLE_SETS:
         gens = build_family(label, n, l)
         basis = closure(gens)
         negated = replace(basis, recipes=[replace(r, coeff=-r.coeff) for r in basis.recipes])
@@ -405,32 +452,65 @@ def _oracle_cases():
 
 
 def test_slice_items_match_recursive_realisation():
-    cfg = CompileConfig()
-    hits = {"wrap": 0, "clip": 0}
-    for gens, basis, coords, slices in _oracle_cases():
-        ref: list = []
-        for j, c in enumerate(coords):
-            if abs(c) >= 1e-14:
-                _realize(basis, j, float(c) / slices, ref)
-        ref = _wrap_and_clip(ref, gens, cfg.tau_clip, hits)
-        rows, taus = _slice_items(coords, basis, slices, gens, cfg)
-        ids = _eig_table(gens).ids
-        assert list(zip(ids[rows].tolist(), taus.tolist())) == ref
-    assert hits["wrap"] > 0 and hits["clip"] > 0
+    # the default clip never fires at l = 2, where a wrapped angle is at
+    # most pi; the l = 3 generators do not wrap
+    hits = {l: {"wrap": 0, "clip": 0} for l in (2, 3)}
+    for cfg in (CompileConfig(), CompileConfig(tau_clip=1.0)):
+        for gens, basis, coords, slices in _oracle_cases():
+            realize = _realize_exact if gens.l == 2 else _realize
+            ref: list = []
+            for j, c in enumerate(coords):
+                if abs(c) >= 1e-14 and abs(c / slices) >= 1e-15:
+                    realize(basis, j, float(c) / slices, ref)
+            ref = _wrap_and_clip(ref, gens, cfg.tau_clip, hits[gens.l])
+            rows, taus = _slice_items(coords, basis, slices, gens, cfg)
+            ids = _eig_table(gens).ids
+            assert list(zip(ids[rows].tolist(), taus.tolist())) == ref
+    assert hits[2]["wrap"] > 0 and hits[2]["clip"] > 0 and hits[3]["clip"] > 0
 
 
-# -- the tree product against the flat word ----------------------------------
+@pytest.mark.parametrize("label, n, l", [
+    ("clifford_full", 2, 2), ("clifford_two_local", 3, 2), ("torus_two_local", 2, 2)])
+def test_exact_words_realise_their_element(label, n, l):
+    # the conjugation identity holds to rounding for every element and sign
+    gens, basis = _closed(label, n, l)
+    rng = np.random.default_rng(43)
+    for j in range(basis.dim):
+        coords = np.zeros(basis.dim)
+        coords[j] = rng.normal(scale=3.0)
+        word = _word_product(_eig_table(gens),
+                             *_slice_items(coords, basis, 1, gens, CompileConfig()))
+        assert np.max(np.abs(word - expm_antiherm(coords[j] * basis.basis[j]))) <= 1e-13
+
+
+# gates of one slice with every coordinate active; the group-commutator
+# words of the l = 2 sets had 111 / 3909 / 52,995 and 1245 / 11,331
+@pytest.mark.parametrize("label, n, l, gates", [
+    ("clifford_two_local", 2, 2, 61),
+    ("clifford_two_local", 3, 2, 1229),
+    ("clifford_two_local", 4, 2, 13_217),
+    ("clifford_plus_u", 3, 2, 513),
+    ("clifford_plus_u", 4, 2, 3951),
+    ("torus_two_local", 2, 3, 1448),
+    ("torus_splits", 2, 3, 824),
+])
+def test_gates_per_slice(label, n, l, gates):
+    basis = closure(build_family(label, n, l))
+    assert compiler_mod._templates(basis).word_start[-1] == gates
+
+
+# -- the slice product against the flat word ---------------------------------
 
 @pytest.mark.parametrize("tree_bytes", [compiler_mod._TREE_BYTES, 1], ids=["blocks", "one_each"])
 def test_slice_product_matches_flat_word(monkeypatch, tree_bytes):
     # the cases of the realisation test above, where the wrap and clip fire;
-    # one_each puts every element in a block of its own
+    # one_each puts every element of a tree product in a block of its own
     monkeypatch.setattr(compiler_mod, "_TREE_BYTES", tree_bytes)
     cfg = CompileConfig()
     for gens, basis, coords, slices in _oracle_cases():
-        tree = _slice_product(coords, basis, slices, gens)
+        product = _slice_product(coords, basis, slices, gens)
         flat = _word_product(_eig_table(gens), *_slice_items(coords, basis, slices, gens, cfg))
-        assert np.max(np.abs(tree - flat)) <= 1e-12
+        assert np.max(np.abs(product - flat)) <= 1e-12
 
 
 def _su4(seed):
@@ -438,19 +518,79 @@ def _su4(seed):
     return u / np.linalg.det(u) ** 0.25
 
 
-@pytest.mark.parametrize("target, cfg", [
-    (_su4(21), CompileConfig(slices=8)),
-    (_su4(22), CompileConfig(slices=1, target_error=1e-8)),
-    (_su4(23), CompileConfig(slices=4, merge=True)),
-    (CNOT, CompileConfig(slices=8)),
-], ids=["fixed", "target_error", "merge", "cnot_split"])
-def test_reported_error_is_that_of_the_returned_word(two_local, target, cfg):
-    # the report multiplies the tree product; evaluate multiplies the word
-    gens, basis = two_local
-    seq = compile(target, gens, basis, cfg)
-    assert seq.report.get("square_root_split", False) == (target is CNOT)
-    measured = phase_invariant_dist(target, evaluate(seq, gens))
+TOFFOLI = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]]
+
+
+@functools.lru_cache(maxsize=None)
+def _closed(label, n, l=2):
+    gens = build_family(label, n, l)
+    return gens, closure(gens)
+
+
+def _in_algebra(label, n, seed, scale=1.0):
+    """exp of a random element of the closure of a family at l = 2."""
+    basis = _closed(label, n)[1]
+    coords = np.random.default_rng(seed).normal(scale=scale, size=basis.dim)
+    return expm_antiherm(np.tensordot(coords, basis.stacked(), axes=1))
+
+
+@pytest.mark.parametrize("family, target, cfg, split", [
+    (("clifford_two_local", 2), lambda: _su4(21), CompileConfig(slices=8), False),
+    (("clifford_two_local", 2), lambda: _su4(22),
+     CompileConfig(slices=1, target_error=1e-8), False),
+    (("clifford_two_local", 2), lambda: _su4(23), CompileConfig(slices=4, merge=True), False),
+    (("clifford_two_local", 2), lambda: CNOT, CompileConfig(slices=8), True),
+    (("clifford_two_local", 3), lambda: random_unitary(8, np.random.default_rng(21)),
+     CompileConfig(slices=1), False),
+    (("clifford_two_local", 3), lambda: random_unitary(8, np.random.default_rng(23)),
+     CompileConfig(slices=2, merge=True), False),
+    (("clifford_two_local", 3), lambda: TOFFOLI, CompileConfig(slices=2), True),
+    (("torus_two_local", 2), lambda: _in_algebra("torus_two_local", 2, 21),
+     CompileConfig(slices=8), False),
+    (("torus_two_local", 2), lambda: _in_algebra("torus_two_local", 2, 22),
+     CompileConfig(slices=1, target_error=1e-8), False),
+    (("torus_two_local", 2), lambda: _in_algebra("torus_two_local", 2, 23),
+     CompileConfig(slices=4, merge=True), False),
+], ids=["fixed", "target_error", "merge", "cnot_split", "su8_fixed", "su8_merge",
+        "toffoli_split", "torus22_fixed", "torus22_target_error", "torus22_merge"])
+def test_reported_error_is_that_of_the_returned_word(family, target, cfg, split):
+    # the report multiplies the slice product; evaluate multiplies the word
+    gens, basis = _closed(*family)
+    u = target()
+    seq = compile(u, gens, basis, cfg)
+    assert seq.report.get("square_root_split", False) == split
+    measured = phase_invariant_dist(u, evaluate(seq, gens))
     assert abs(seq.report["phase_invariant_error"] - measured) <= 1e-12
+
+
+@pytest.mark.parametrize("label, n", [
+    (label, n) for label, f in FAMILIES.items() if f.predicted
+    for n in (1, 2, 3) if n >= f.least["n"]])
+def test_binary_families_report_the_error_of_their_word(label, n):
+    # every l = 2 closure family: Haar targets where it spans su(N), else
+    # exponentials of its algebra at scales that wrap.  Words stay under
+    # 5000 gates: evaluate's own rounding grows by about 1e-16 a gate
+    gens, basis = _closed(label, n)
+    rng = np.random.default_rng(44)
+    for scale in (0.5, 3.0):
+        u = (random_unitary(gens.dim, rng) if basis.spans_su
+             else _in_algebra(label, n, int(rng.integers(1000)), scale))
+        for cfg in (CompileConfig(slices=1), CompileConfig(slices=2),
+                    CompileConfig(slices=2, merge=True, tau_clip=0.5)):
+            seq = compile(u, gens, basis, cfg)
+            measured = phase_invariant_dist(u, evaluate(seq, gens))
+            assert abs(seq.report["phase_invariant_error"] - measured) <= 1e-12
+
+
+@pytest.mark.parametrize("n, target", [(2, CNOT), (3, TOFFOLI)], ids=["cnot", "toffoli"])
+def test_commuting_string_targets_exact_at_one_slice(n, target):
+    # each logarithm is a sum of commuting Pauli strings, so one slice of
+    # exact words is exact even without refinement
+    gens, basis = _closed("clifford_two_local", n)
+    for refine in (True, False):
+        seq = compile(target, gens, basis, CompileConfig(slices=1, refine=refine))
+        assert seq.report["phase_invariant_error"] <= 1e-12
+        assert phase_invariant_dist(target, evaluate(seq, gens)) <= 1e-12
 
 
 def test_sweep_rows_report_the_error_of_their_word(two_local):
@@ -463,7 +603,7 @@ def test_sweep_rows_report_the_error_of_their_word(two_local):
 
 
 def test_compile_multiplies_no_flat_word(two_local, monkeypatch):
-    # refinement and reports go through the tree product; only evaluate
+    # refinement and reports go through the slice product; only evaluate
     # multiplies a word gate by gate
     gens, basis = two_local
     calls = []
@@ -473,17 +613,21 @@ def test_compile_multiplies_no_flat_word(two_local, monkeypatch):
     seq = compile(_su4(25), gens, basis, CompileConfig(slices=1, target_error=1e-8))
     compile(CNOT, gens, basis, CompileConfig(slices=4, merge=True))
     compile_report(_su4(26), gens, basis, (1, 2, 4))
+    torus, torus_basis = _closed("torus_two_local", 2, 3)   # the tree product
+    compile(random_unitary(9, np.random.default_rng(27)), torus, torus_basis)
     assert calls == []
     evaluate(seq, gens)
     assert calls
 
 
-def test_slice_product_memory_is_bounded():
-    # clifford_two_local n = 4: 255 elements, 6067 tree nodes at N = 16, so
-    # an unblocked node stack alone would take 25 MB
+def test_slice_product_memory_is_bounded(monkeypatch):
+    # torus_two_local (2, 3): 80 elements, 520 tree nodes of 1296 bytes at
+    # N = 9, so an unblocked node stack alone would take 674 KB; blocks of
+    # 64 KB keep the peak under 256 KB
     import tracemalloc
 
-    gens = two_local_clifford_set(4)
+    monkeypatch.setattr(compiler_mod, "_TREE_BYTES", 1 << 16)
+    gens = build_family("torus_two_local", 2, 3)
     basis = closure(gens)
     coords = np.random.default_rng(12).normal(scale=0.3, size=basis.dim)
     tree = _slice_product(coords, basis, 8, gens)   # builds the cached tables
@@ -493,7 +637,7 @@ def test_slice_product_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4e6
+    assert peak < 1 << 18
     assert np.array_equal(tree, again)
     flat = _word_product(_eig_table(gens), *_slice_items(coords, basis, 8, gens, CompileConfig()))
     assert np.max(np.abs(tree - flat)) <= 1e-12
