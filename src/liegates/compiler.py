@@ -23,16 +23,21 @@ binary/non-binary split:
   commutators, exp(t P) exp(t Q) exp(-t P) exp(-t Q) ~ exp(t^2 [P, Q]),
   whose plain product converges only like 1 / sqrt(slices).
 
-By default the coordinates are re-solved by a fixed-point iteration
-against the actual slice product, whose every full step is kept only
-while it lowers the error; this keeps the gate alphabet, the word
-structure and the gate count unchanged while driving the error to the
-numerical floor whenever the iteration contracts.  All reported errors
-use the global-phase-invariant distance; the trace part of the logarithm
-(a pure global phase) is projected out before the coordinate solve.
+By default the coordinates are re-solved by Newton's method on the
+one-slice equation W(theta) = exp(L / slices), L the target's traceless
+logarithm, against the actual slice product W; the Jacobian is the
+product-of-exponentials gradient (as in GRAPE, Khaneja et al., J. Magn.
+Reson. 172:296, 2005), exact for exact words and a forward difference for
+group commutators.  Each step is kept only while it lowers the error; this
+keeps the gate alphabet, the word structure and the gate count unchanged
+while driving the error to rounding whenever the iteration converges.  All
+reported errors use the global-phase-invariant distance; the trace part of
+the logarithm (a pure global phase) is projected out before the
+coordinate solve.
 
-Every mode runs one pipeline: `_plan` analyses the target once (checks,
-square-root split at the branch cut, logarithm, coordinates) and
+Every mode runs one pipeline: `_plan` analyses the target once (one
+eigendecomposition for the square-root split at the branch cut, the
+logarithm and every slice count's exp(L / slices); coordinates) and
 `_compile_at` refines, builds and evaluates the word of one slice count.
 A depth-d group-commutator word has 4^d gates but only 2^d distinct leaf
 exponentials: an element's word at a negative angle is the adjoint of its
@@ -43,14 +48,14 @@ up one tree height at a time in stacked products, in blocks of elements
 with a bounded node stack.  Words stay arrays of generator table rows and
 angles; (id, tau) pairs are built once, for the returned GateSequence.
 `evaluate` is the flat reference: it multiplies any sequence 256 gates at
-a time.  Its gates and the tree leaves come from one kernel, a stacked
-product over each generator's cached eigenbasis.
+a time.  Its gates and the tree leaves come from one kernel: a closed form
+cos(c tau) I + sin(c tau) / c A for a generator whose spectrum is +/- ic,
+else a stacked product over the generator's cached eigenbasis.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -58,7 +63,6 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import (
-    BranchCutWarning,
     DepthExhaustedError,
     DimensionMismatchError,
     MatrixPropertyError,
@@ -73,9 +77,7 @@ from .linalg import (
     error_metrics,
     herm_eig,
     is_unitary,
-    logm_unitary,
     phase_invariant_dist,
-    principal_sqrt_unitary,
     unitary_eig,
 )
 
@@ -123,10 +125,12 @@ class _EigTable(NamedTuple):
     """Eigenpairs and wrap periods of every generator of a set, by index."""
     index: dict[str, int]
     ids: np.ndarray       # generator id per index (object array)
+    mat: np.ndarray       # (G, N, N) the generators
     lam: np.ndarray       # (G, N) eigenvalues of -i A
     w: np.ndarray         # (G, N, N) eigenvectors
     wh: np.ndarray        # (G, N, N) their adjoints
-    period: np.ndarray    # (G,) wrap period, inf where angles do not wrap
+    freq: np.ndarray      # (G,) c where the spectrum of -i A is +/- c, else 0
+    period: np.ndarray    # (G,) wrap period 2 pi / c, inf where angles do not wrap
 
 
 def _eig_table(gens: GeneratorSet) -> _EigTable:
@@ -134,7 +138,8 @@ def _eig_table(gens: GeneratorSet) -> _EigTable:
     table = gens._eig_table
     if table is None:
         ids = gens.ids()
-        eigs = [herm_eig(-1j * mat) for mat in gens.matrices()]
+        mats = gens.matrices()
+        eigs = [herm_eig(-1j * mat) for mat in mats]
         lam, w = (np.stack(part) for part in zip(*eigs))
         # an angle wraps when the spectrum is +/- a single magnitude
         mags = np.abs(lam)
@@ -145,9 +150,11 @@ def _eig_table(gens: GeneratorSet) -> _EigTable:
         table = _EigTable(
             index={gen_id: k for k, gen_id in enumerate(ids)},
             ids=np.array(ids, dtype=object),
+            mat=np.stack(mats),
             lam=lam,
             w=w,
             wh=w.conj().transpose(0, 2, 1).copy(),
+            freq=np.where(wraps, top, 0.0),
             period=period,
         )
         gens._eig_table = table
@@ -160,7 +167,7 @@ def gate_matrix(gens: GeneratorSet, gen_id: str, tau: float) -> Matrix:
     k = table.index.get(gen_id)
     if k is None:
         raise UnknownGeneratorError(gen_id)
-    return (table.w[k] * np.exp(1j * table.lam[k] * tau)) @ table.wh[k]
+    return _gates(table, np.array([k]), np.array([tau], dtype=float))[0]
 
 
 def _reduce(mats: np.ndarray) -> Matrix:
@@ -174,11 +181,22 @@ def _reduce(mats: np.ndarray) -> Matrix:
 
 
 def _gates(table: _EigTable, gen: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Stack of the gates exp(A tau), given by table row and angle."""
+    """Stack of the gates exp(A tau), given by table row and angle.
+
+    A generator whose -i A has spectrum +/- c squares to -c^2 I, so its
+    gate is cos(c tau) I + sin(c tau) / c A in closed form; any other is
+    exponentiated in its eigenbasis.
+    """
     n = table.lam.shape[1]
     gates = np.empty((len(gen), n, n), dtype=complex)
     for g in np.flatnonzero(np.bincount(gen)):
         sel = gen == g
+        c = table.freq[g]
+        if c:
+            x = c * tau[sel]
+            gates[sel] = (np.cos(x)[:, None, None] * np.eye(n)
+                          + (np.sin(x) / c)[:, None, None] * table.mat[g])
+            continue
         phases = np.exp(1j * (tau[sel][:, None] * table.lam[g]))
         # one (count * N, N) @ (N, N) product builds all gates of a generator
         scaled = table.w[g] * phases[:, None, :]
@@ -324,27 +342,28 @@ def _templates(basis: LieBasis) -> _Templates:
     return basis._templates
 
 
-def _active(coords: np.ndarray, slices: int) -> tuple[np.ndarray, np.ndarray]:
-    """One slice's coordinates and the elements it realises."""
-    theta = coords / slices
-    return theta, np.flatnonzero((np.abs(coords) >= 1e-14) & (np.abs(theta) >= 1e-15))
+def _realised(coords: np.ndarray, slices: int) -> np.ndarray:
+    """Each element's coordinate in one slice, 0 where the slice does not realise it.
 
-
-def _slice_angles(coords: np.ndarray, basis: LieBasis, slices: int):
-    """Templates, realised elements, whether their theta is negative, and node angles.
-
-    Angles under 1e-15 are dropped.  In a group-commutator word a
-    commutator's scale |[b_i, b_j]| is at most 2, so below the root every
-    value is at least sqrt(1e-15 / 2) and only the root can fall under the
-    cut; in an exact word a carrier scales with the root and a conjugator
-    is fixed.  Values are computed one depth at a time for every node;
-    sqrt, products and division are correctly rounded, so they are those of
-    a node-by-node pass, bit for bit.
+    Coordinates under 1e-14 and slice values under 1e-15 are dropped.  In a
+    group-commutator word a commutator's scale |[b_i, b_j]| is at most 2,
+    so below the root every value is at least sqrt(1e-15 / 2) and only the
+    root can fall under the cut; in an exact word a carrier scales with the
+    root and a conjugator is fixed.
     """
-    t = _templates(basis)
-    theta, active = _active(coords, slices)
+    theta = coords / slices
+    return np.where((np.abs(coords) >= 1e-14) & (np.abs(theta) >= 1e-15), theta, 0.0)
+
+
+def _node_angles(t: _Templates, theta: np.ndarray, basis: LieBasis) -> np.ndarray:
+    """Angle of every node (see _Templates) for one slice's element coordinates theta.
+
+    Values are computed one depth at a time for every node; sqrt, products
+    and division are correctly rounded, so they are those of a node-by-node
+    pass, bit for bit.
+    """
     value = np.zeros(len(t.parent))
-    value[t.node_start[active]] = np.abs(theta[active])
+    value[t.node_start[:-1]] = np.abs(theta)
     quarter = math.pi * math.sqrt(basis.matrix_dim) / 4
     for nodes in t.by_depth:
         up = t.parent[nodes]
@@ -352,7 +371,7 @@ def _slice_angles(coords: np.ndarray, basis: LieBasis, slices: int):
             value[nodes] = np.where(t.first[up] == nodes, quarter, value[up] * t.gain[nodes])
         else:
             value[nodes] = np.sqrt(value[up] / np.abs(t.coeff[up]))
-    return t, active, theta[active] < 0, value / t.coeff
+    return value / t.coeff
 
 
 def _table_rows(basis: LieBasis, table: _EigTable, gen: np.ndarray) -> np.ndarray:
@@ -372,7 +391,11 @@ def _slice_items(coords: np.ndarray, basis: LieBasis, slices: int,
     first.  Angles are then reduced by their generator's period and
     oversized ones split into equal parts; no move changes the product.
     """
-    t, active, negative, angle = _slice_angles(coords, basis, slices)
+    t = _templates(basis)
+    theta = _realised(coords, slices)
+    angle = _node_angles(t, theta, basis)
+    active = np.flatnonzero(theta)
+    negative = theta[active] < 0
     table = _eig_table(gens)
     counts = np.diff(t.word_start)[active]
     pos = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -397,9 +420,9 @@ def _slice_items(coords: np.ndarray, basis: LieBasis, slices: int,
     return np.repeat(row, counts), np.repeat(tau / parts, counts)
 
 
-def _tree_block(t: _Templates, elems: np.ndarray, negative: np.ndarray, angle: np.ndarray,
-                basis: LieBasis, table: _EigTable) -> Matrix:
-    """Product of the words of some elements, first leftmost, on their trees."""
+def _tree_words(t: _Templates, elems: np.ndarray, negative: np.ndarray, angle: np.ndarray,
+                basis: LieBasis, table: _EigTable) -> np.ndarray:
+    """Stack of the words of some elements, formed on their trees."""
     start = t.node_start[elems]
     counts = t.node_start[elems + 1] - start
     roots = np.cumsum(counts) - counts        # stack position of each root
@@ -418,48 +441,67 @@ def _tree_block(t: _Templates, elems: np.ndarray, negative: np.ndarray, angle: n
         stack[k] = pair[:len(k)] @ pair[len(k):].conj().transpose(0, 2, 1)
     top = stack[roots]
     top[negative] = top[negative].conj().transpose(0, 2, 1)
-    return _reduce(top)
+    return top
+
+
+def _oriented(basis: LieBasis, t: _Templates, elems: np.ndarray) -> np.ndarray:
+    """Stack of orient * b_j, the values of some elements' recipes."""
+    return np.stack([basis.basis[j] for j in elems]) * t.orient[elems, None, None]
+
+
+def _word_blocks(t: _Templates, basis: LieBasis, gens: GeneratorSet, theta: np.ndarray):
+    """The words of every element at one slice's coordinates theta, by block.
+
+    Yields (elems, words) from the last block back.  An element with theta
+    0 has word I.  An exact word is exp(theta b) for b = orient * b_j with
+    b^2 = -I/N, so it is cos(theta / sqrt(N)) I + sqrt(N) sin(theta /
+    sqrt(N)) b.  A group-commutator word is formed on its tree: each leaf,
+    at its raw angle, is exponentiated once and each commutator node formed
+    from its children one tree height at a time.  A block's stacks hold at
+    most _TREE_BYTES of matrices (or one element): an exact element counts
+    one matrix, a group-commutator element its tree nodes.
+    """
+    n = basis.matrix_dim
+    budget = _TREE_BYTES // (16 * n * n)
+    sizes = np.ones(basis.dim, np.intp) if t.exact else np.diff(t.node_start)
+    bounds = [0]
+    while bounds[-1] < basis.dim:
+        hi, total = bounds[-1] + 1, sizes[bounds[-1]]
+        while hi < basis.dim and total + sizes[hi] <= budget:
+            total += sizes[hi]
+            hi += 1
+        bounds.append(hi)
+    angle = None if t.exact else _node_angles(t, theta, basis)
+    for lo, hi in reversed(list(zip(bounds, bounds[1:]))):
+        elems = np.arange(lo, hi)
+        if t.exact:
+            x = theta[elems] / math.sqrt(n)
+            yield elems, (np.cos(x)[:, None, None] * np.eye(n)
+                          + (math.sqrt(n) * np.sin(x))[:, None, None] * _oriented(basis, t, elems))
+            continue
+        words = np.empty((len(elems), n, n), dtype=complex)
+        words[:] = np.eye(n)
+        on = theta[elems] != 0
+        if on.any():
+            words[on] = _tree_words(t, elems[on], theta[elems[on]] < 0, angle, basis,
+                                    _eig_table(gens))
+        yield elems, words
 
 
 def _slice_product(coords: np.ndarray, basis: LieBasis, slices: int,
                    gens: GeneratorSet) -> Matrix:
     """Product of one slice's word.
 
-    A slice's word is the product over realised elements of P or P^dag
-    (see _Templates); the merge, the period wrap and the tau_clip split of
-    _slice_items leave the product unchanged.  An exact word is
-    exp(theta b) for b = orient * b_j with b^2 = -I/N, so the slice is the
-    ordered product of cos(theta / sqrt(N)) I + sqrt(N) sin(theta / sqrt(N)) b,
-    reduced pairwise; its stack is at most the size of the basis.  Group
-    commutators are multiplied on their trees: each leaf, at its raw angle,
-    is exponentiated once, each commutator node is formed from its children
-    one tree height at a time, and the element products are reduced
-    pairwise.  Elements go in blocks whose node stack stays within
-    _TREE_BYTES (or holds one element).
+    A slice's word is the product over realised elements of their words
+    (see _word_blocks); the merge, the period wrap and the tau_clip split of
+    _slice_items leave the product unchanged.  The words are multiplied
+    onto the identity from the last one back, as in _linearise, so the
+    two give the same product bit for bit.
     """
-    t = _templates(basis)
-    if t.exact:
-        theta, active = _active(coords, slices)
-        n = basis.matrix_dim
-        if not len(active):
-            return np.eye(n, dtype=complex)
-        x = theta[active] / math.sqrt(n)
-        b = np.stack([basis.basis[j] for j in active])
-        return _reduce(np.cos(x)[:, None, None] * np.eye(n)
-                       + (math.sqrt(n) * np.sin(x) * t.orient[active])[:, None, None] * b)
-    t, active, negative, angle = _slice_angles(coords, basis, slices)
-    table = _eig_table(gens)
-    budget = _TREE_BYTES // (16 * gens.dim**2)
-    sizes = np.diff(t.node_start)[active]
-    out = np.eye(gens.dim, dtype=complex)
-    lo = 0
-    while lo < len(active):
-        hi, total = lo + 1, sizes[lo]
-        while hi < len(active) and total + sizes[hi] <= budget:
-            total += sizes[hi]
-            hi += 1
-        out = out @ _tree_block(t, active[lo:hi], negative[lo:hi], angle, basis, table)
-        lo = hi
+    out = np.eye(basis.matrix_dim, dtype=complex)
+    for _, words in _word_blocks(_templates(basis), basis, gens, _realised(coords, slices)):
+        for word in words[::-1]:
+            out = word @ out
     return out
 
 
@@ -467,43 +509,100 @@ def _slice_product(coords: np.ndarray, basis: LieBasis, slices: int,
 # compilation
 # ---------------------------------------------------------------------------
 
-# fixed-point refinement iterations per compile; slice cap of the target-error mode
+# refinement steps per compile; the error refinement stops at (rounding);
+# the forward-difference step of a group-commutator word; slice cap of the
+# target-error mode
 _REFINE_MAX_ITER = 60
+_ERR_FLOOR = 1e-13
+_DIFF_STEP = 1e-7
 _MAX_SLICES = 4096
 
 
-def _traceless(a: Matrix) -> Matrix:
-    n = a.shape[0]
-    return a - (np.trace(a) / n) * np.eye(n, dtype=complex)
+def _log_unitary(x: Matrix) -> Matrix:
+    """Principal logarithm of a unitary x with no eigenvalue -1, by its Cayley transform.
+
+    i (I - x)(I + x)^-1 is Hermitian with eigenvalues tan(phi / 2) for
+    the eigenphases phi of x, on the eigenvectors of x; an eigenvalue at
+    -1 raises LinAlgError.
+    """
+    eye = np.eye(len(x))
+    cayley = 1j * np.linalg.solve((eye + x).T, (eye - x).T).T
+    tan_half, w = herm_eig((cayley + cayley.conj().T) / 2)
+    return (w * (2j * np.arctan(tan_half))) @ w.conj().T
+
+
+def _linearise(coords: np.ndarray, basis: LieBasis, slices: int,
+               gens: GeneratorSet) -> tuple[Matrix, np.ndarray]:
+    """The slice product W of coords and the Jacobian of c -> W at coords.
+
+    With F_j the word of element j, S_j the product of the words after it
+    and D_j = F_j^-1 dF_j / dtheta_j, W^-1 dW / dc_j = S_j^dag D_j S_j /
+    slices; column j of the Jacobian is its frame coordinates.  An exact
+    word has D_j = orient * b_j; a group-commutator word takes the forward
+    difference of its word at theta + _DIFF_STEP, every element of a block
+    in one tree evaluation.  Blocks run from the last element back, so the
+    suffix S_j is carried from block to block and ends as W.
+    """
+    t = _templates(basis)
+    n, dim = basis.matrix_dim, basis.dim
+    theta = _realised(coords, slices)
+    if not t.exact:
+        shifted = theta + _DIFF_STEP
+        moved = _word_blocks(t, basis, gens, shifted)
+    frame = basis.frame.reshape(dim, -1)
+    jac = np.empty((dim, dim))
+    suffix = np.eye(n, dtype=complex)
+    for elems, words in _word_blocks(t, basis, gens, theta):
+        if t.exact:
+            diff = _oriented(basis, t, elems)
+        else:
+            diff = words.conj().transpose(0, 2, 1) @ (next(moved)[1] - words)
+            diff /= (shifted - theta)[elems, None, None]
+        after = np.empty_like(words)
+        for k in range(len(elems) - 1, -1, -1):
+            after[k] = suffix
+            suffix = words[k] @ suffix
+        cols = after.conj().transpose(0, 2, 1) @ diff @ after
+        # Re tr(frame_k^dag X) = Re sum(frame_k * conj(X))
+        jac[:, elems] = (frame @ cols.reshape(len(elems), -1).conj().T).real
+    return suffix, jac / slices
 
 
 def _refine_coords(plan: _Plan, slices: int) -> tuple[np.ndarray, Matrix]:
-    """Fixed-point coordinate solve against the realised slice product.
+    """Newton solve of the one-slice equation W(c) = V_m, V_m = exp(L / m).
 
-    Each step compares logarithms in the algebra frame (target coordinates
-    against the coordinates of the realised product) and moves the
-    coordinates by the whole difference.  The step is kept only if it
-    lowers the phase-invariant error, otherwise the solve ends, so the
-    current iterate is always the best one.  With cfg.refine off the solve
-    takes no step.  Returns the iterate with its slice product.
+    L is the root's traceless logarithm and m the slice count, so W^m is
+    the root up to a phase.  The residual is the frame coordinates of
+    log(W^dag V_m), and each step solves the Jacobian of _linearise
+    against it.  A step is kept only if it lowers the phase-invariant
+    error of W^m, otherwise the solve ends, so the current iterate is
+    always the best one; it also ends at the rounding floor _ERR_FLOOR.
+    With cfg.refine off the solve takes no step.  Returns the iterate with
+    its slice product.
     """
-    u, coords, basis, gens = plan.root, plan.coords, plan.basis, plan.gens
-    c, unit = coords, _slice_product(coords, basis, slices, gens)
-    v = np.linalg.matrix_power(unit, slices)
-    err = phase_invariant_dist(u, v)
-    for _ in range(_REFINE_MAX_ITER if plan.cfg.refine else 0):
-        if err <= 1e-11:
+    u, basis, gens = plan.root, plan.basis, plan.gens
+    c = plan.coords
+    if not plan.cfg.refine or not basis.dim:
+        return c, _slice_product(c, basis, slices, gens)
+    unit, jac = _linearise(c, basis, slices, gens)
+    err = phase_invariant_dist(u, np.linalg.matrix_power(unit, slices))
+    v_m = (plan.vecs * np.exp(1j * plan.phases / slices)) @ plan.vecs.conj().T
+    frame = basis.frame.reshape(basis.dim, -1)
+    for _ in range(_REFINE_MAX_ITER):
+        if err <= _ERR_FLOOR:
             break
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BranchCutWarning)
-            realised_log = _traceless(logm_unitary(v))
-        cand = c + (coords - membership(realised_log, basis, tol=1.0).coefficients)
+        if jac is None:
+            jac = _linearise(c, basis, slices, gens)[1]
+        try:
+            residual = _log_unitary(unit.conj().T @ v_m)
+            cand = c + np.linalg.solve(jac, (frame @ residual.conj().ravel()).real)
+        except np.linalg.LinAlgError:
+            break
         unit_cand = _slice_product(cand, basis, slices, gens)
-        v_cand = np.linalg.matrix_power(unit_cand, slices)
-        err_cand = phase_invariant_dist(u, v_cand)
+        err_cand = phase_invariant_dist(u, np.linalg.matrix_power(unit_cand, slices))
         if err_cand >= err:
             break
-        c, unit, v, err = cand, unit_cand, v_cand, err_cand
+        c, unit, err, jac = cand, unit_cand, err_cand, None
     return c, unit
 
 
@@ -512,14 +611,20 @@ class _Plan(NamedTuple):
     target: Matrix
     root: Matrix          # the target, or its principal square root if copies == 2
     copies: int           # times the root's word is emitted
-    coords: np.ndarray    # coordinates of the root's traceless logarithm
+    coords: np.ndarray    # coordinates of the root's traceless logarithm L
+    phases: np.ndarray    # L = vecs diag(i phases) vecs^dag
+    vecs: Matrix
     gens: GeneratorSet
     basis: LieBasis
     cfg: CompileConfig
 
 
 def _plan(u, gens: GeneratorSet, basis: LieBasis, cfg: CompileConfig) -> _Plan:
-    """Check the target and read off its coordinates, once per compile."""
+    """Check the target and read off its coordinates, once per compile.
+
+    One eigendecomposition gives the root, its logarithm and, in
+    _refine_coords, every slice count's V_m.
+    """
     m = as_matrix(u)
     if m.shape[0] != gens.dim or m.shape[0] != basis.matrix_dim:
         raise DimensionMismatchError(
@@ -527,25 +632,27 @@ def _plan(u, gens: GeneratorSet, basis: LieBasis, cfg: CompileConfig) -> _Plan:
         )
     if not is_unitary(m):
         raise MatrixPropertyError("compile requires a unitary target")
-    phases, _ = unitary_eig(m)
+    phases, vecs = unitary_eig(m)
     copies, root = 1, m
     if np.any(math.pi - np.abs(phases) < DEFAULTS.branch_warn_margin):
         # compile the principal square root and emit it twice, avoiding the
         # logarithm discontinuity at eigenphase pi
-        copies, root = 2, principal_sqrt_unitary(m)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BranchCutWarning)
-        log = logm_unitary(root)
-    res = membership(_traceless(log), basis)
+        copies, phases = 2, phases / 2
+        root = (vecs * np.exp(1j * phases)) @ vecs.conj().T
+    # the trace part of the logarithm is a global phase
+    phases = phases - phases.mean()
+    log = (vecs * (1j * phases)) @ vecs.conj().T
+    res = membership((log - log.conj().T) / 2, basis)
     if not res.member:
         raise NotMemberError(res.residual, "target logarithm lies outside the generated "
                              f"algebra (residual {res.residual:.6g})")
-    needed = [j for j, c in enumerate(res.coefficients) if abs(c) >= 1e-14]
-    max_depth = max((basis.depth(j) for j in needed), default=0)
+    t = _templates(basis)
+    needed = np.flatnonzero(np.abs(res.coefficients) >= 1e-14)
+    max_depth = int(t.height[t.node_start[needed]].max(initial=0))
     if max_depth > cfg.max_commutator_depth:
         raise DepthExhaustedError(f"recipe depth {max_depth} exceeds configured maximum "
                                   f"{cfg.max_commutator_depth}")
-    return _Plan(m, root, copies, res.coefficients, gens, basis, cfg)
+    return _Plan(m, root, copies, res.coefficients, phases, vecs, gens, basis, cfg)
 
 
 def _compile_at(plan: _Plan, slices: int) -> tuple[np.ndarray, np.ndarray, int, dict]:

@@ -39,6 +39,7 @@ from liegates.linalg import (
     is_unitary,
     logm_unitary,
     phase_invariant_dist,
+    random_anti_hermitian,
     random_unitary,
     tensor,
 )
@@ -260,11 +261,11 @@ def test_target_error_mode(two_local):
 
 def test_target_analysed_once_per_call(two_local, monkeypatch):
     # every slice count of a sweep or a target-error climb shares one analysis
+    # (one eigendecomposition gives the root, the logarithm and every V_m)
     gens, basis = two_local
     calls = []
-    sqrt = compiler_mod.principal_sqrt_unitary
-    monkeypatch.setattr(compiler_mod, "principal_sqrt_unitary",
-                        lambda u: calls.append(1) or sqrt(u))
+    eig = compiler_mod.unitary_eig
+    monkeypatch.setattr(compiler_mod, "unitary_eig", lambda u: calls.append(1) or eig(u))
     compile_report(CNOT, gens, basis, (1, 2, 4, 8))
     assert len(calls) == 1
     calls.clear()
@@ -641,3 +642,112 @@ def test_slice_product_memory_is_bounded(monkeypatch):
     assert np.array_equal(tree, again)
     flat = _word_product(_eig_table(gens), *_slice_items(coords, basis, 8, gens, CompileConfig()))
     assert np.max(np.abs(tree - flat)) <= 1e-12
+
+
+def test_refine_step_memory_is_bounded(monkeypatch):
+    # one Newton step on torus_two_local (2, 3): the Jacobian (80 x 80
+    # floats, 51 KB), then the word, suffix and column stacks and the two
+    # tree evaluations of each block.  Unblocked, one step peaks at 2 MB;
+    # blocks of 64 KB keep it under 512 KB, with the same result to rounding
+    import tracemalloc
+
+    gens, basis = _closed("torus_two_local", 2, 3)
+    plan = compiler_mod._plan(random_unitary(9, np.random.default_rng(12)), gens, basis,
+                              CompileConfig(slices=8))
+    monkeypatch.setattr(compiler_mod, "_REFINE_MAX_ITER", 1)
+    whole = compiler_mod._refine_coords(plan, 8)   # builds the cached tables
+    monkeypatch.setattr(compiler_mod, "_TREE_BYTES", 1 << 16)
+    tracemalloc.start()
+    try:
+        blocked = compiler_mod._refine_coords(plan, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 19
+    assert not np.array_equal(blocked[0], plan.coords)   # the step was taken
+    for a, b in zip(whole, blocked):
+        assert np.max(np.abs(a - b)) <= 1e-12
+
+
+# -- Newton refinement -------------------------------------------------------
+
+@pytest.mark.parametrize("label, n, l", [
+    ("clifford_two_local", 2, 2), ("clifford_two_local", 3, 2), ("torus_two_local", 2, 3)])
+def test_jacobian_matches_a_difference_of_slice_products(label, n, l):
+    # column j holds the frame coordinates of W^-1 dW / dc_j, against a
+    # central difference; the linearised W is the slice product bit for bit
+    gens, basis = _closed(label, n, l)
+    coords = np.random.default_rng(45).normal(scale=0.5, size=basis.dim)
+    coords[::7] = 0.0
+    unit, jac = compiler_mod._linearise(coords, basis, 2, gens)
+    assert np.array_equal(unit, _slice_product(coords, basis, 2, gens))
+    frame = basis.frame.reshape(basis.dim, -1)
+    eps = 1e-5
+    for j in range(basis.dim):
+        if gens.l > 2 and coords[j] == 0.0:
+            continue   # a group-commutator word is not smooth at theta = 0
+        logs = []
+        for sign in (1, -1):
+            moved = coords.copy()
+            moved[j] += sign * eps
+            logs.append(logm_unitary(unit.conj().T @ _slice_product(moved, basis, 2, gens)))
+        column = (frame.conj() @ (logs[0] - logs[1]).ravel()).real / (2 * eps)
+        assert np.max(np.abs(column - jac[:, j])) <= (1e-9 if gens.l == 2 else 1e-5)
+
+
+def test_residual_logarithm_matches_the_principal_one():
+    rng = np.random.default_rng(46)
+    for dim in (2, 4, 9):
+        for scale in (1e-9, 0.3, 3.0):
+            u = expm_antiherm(scale * random_anti_hermitian(dim, rng) / dim)
+            assert np.max(np.abs(compiler_mod._log_unitary(u) - logm_unitary(u))) <= 1e-12
+
+
+def _pi_target(seed):
+    rng = np.random.default_rng(seed)
+    w = random_unitary(4, rng)
+    phases = rng.uniform(-np.pi, np.pi, size=4)
+    phases[0] = np.pi
+    return (w * np.exp(1j * phases)) @ w.conj().T
+
+
+def test_pi_eigenphase_targets_settle_at_few_slices(two_local):
+    # Newton stops at the rounding floor, not at 1e-11, so a target error
+    # of 1e-12 is met by the first slice count that converges; the fixed
+    # point took these ten targets to 32-512 slices
+    gens, basis = two_local
+    for seed in range(10):
+        report = compile(_pi_target(seed), gens, basis, CompileConfig(target_error=1e-12)).report
+        assert report["square_root_split"]
+        assert report["target_error_met"]
+        assert report["slice_count"] <= 4
+
+
+def test_torus_refinement_converges_at_32_slices():
+    # the fixed point stopped early on 4 of these 12 targets (errors 0.82
+    # to 2.6) and reached only 2.8e-8 to 4.5e-4 on the others
+    gens, basis = _closed("torus_two_local", 2, 3)
+    rng = np.random.default_rng(21)
+    errs = [compile(random_unitary(9, rng), gens, basis, CompileConfig(slices=32))
+            .report["phase_invariant_error"] for _ in range(12)]
+    assert sum(e <= 1e-10 for e in errs) >= 11
+
+
+def test_su8_reaches_rounding_at_four_slices():
+    gens, basis = _closed("clifford_two_local", 3)
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        seq = compile(random_unitary(8, rng), gens, basis, CompileConfig(slices=4))
+        assert seq.report["phase_invariant_error"] <= 1e-12
+
+
+def test_su4_targets_that_hit_the_slice_cap_now_converge(two_local):
+    # targets 90 and 118 of 128 Haar SU(4) draws from default_rng(3): the
+    # fixed point climbed to the 4096-slice cap and ended at 6.7e-4 / 4.6e-4
+    gens, basis = two_local
+    rng = np.random.default_rng(3)
+    pool = [random_unitary(4, rng) for _ in range(119)]
+    for k in (90, 118):
+        report = compile(pool[k], gens, basis, CompileConfig(target_error=1e-8)).report
+        assert report["target_error_met"]
+        assert report["slice_count"] <= 8
