@@ -60,8 +60,15 @@ def _matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
 
 
 def _matrix_from_json(data) -> np.ndarray:
-    arr = np.array([[complex(re, im) for re, im in row] for row in data])
-    return arr
+    """A square matrix from rows of [re, im] number pairs; ValueError for anything else."""
+    try:
+        pairs = np.array(data)
+    except ValueError:  # ragged nesting
+        pairs = np.empty(0)
+    if (pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[2] != 2
+            or pairs.shape[0] != pairs.shape[1]):
+        raise ValueError("a target file holds a square matrix as rows of [re, im] pairs")
+    return pairs.astype(float).view(complex)[..., 0]
 
 
 def _serialize_set(gens: GeneratorSet, include_matrices: bool = True) -> dict:
@@ -133,19 +140,15 @@ def _target_matrix(args, dim: int) -> np.ndarray:
     if args.target_file:
         with open(args.target_file) as fh:
             return _matrix_from_json(json.load(fh))
-    name = args.target
-    if name == "identity":
+    if args.target == "identity":
         return np.eye(dim, dtype=complex)
-    if name == "cnot":
+    if args.target == "cnot":
         if dim != 4:
-            raise LieGatesError("cnot target needs a dimension-4 generator set")
+            raise ValueError(f"cnot target needs a dimension-4 generator set, got {dim}")
         return np.array(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
         )
-    if name == "random":
-        rng = np.random.default_rng(args.seed)
-        return random_unitary(dim, rng)
-    raise LieGatesError(f"unknown target {name!r}")
+    return random_unitary(dim, np.random.default_rng(args.seed))
 
 
 def _cmd_compile(args) -> dict:
@@ -314,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="compile a unitary into gates")
     _add_common(p, CLOSURE_FAMILIES)
-    p.add_argument("--target", default="random",
-                   help="identity, cnot, random, or use --target-file")
+    p.add_argument("--target", default="random", choices=("identity", "cnot", "random"),
+                   help="a named target, unless --target-file is given")
     p.add_argument("--target-file", default=None)
     p.add_argument("--slices", type=int, default=None, help="default 1")
     p.add_argument("--max-depth", type=int, default=8)
@@ -335,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="closure dimensions vs predicted counts")
     p.add_argument("--max-n", type=int, default=3)
-    p.add_argument("--families", nargs="*", default=None)
+    p.add_argument("--families", nargs="*", default=None, choices=CLOSURE_FAMILIES)
     p.set_defaults(fn=_cmd_table)
 
     for sp in sub.choices.values():
@@ -350,7 +353,11 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        result = args.fn(args)
+        text = json.dumps(args.fn(args), indent=2)
+        # written before anything is printed, so a failed write prints nothing
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
     except NotMemberError as exc:
         _emit_error("not_member", f"{exc} (residual {exc.residual:.6g})")
         return 1
@@ -363,11 +370,7 @@ def run(argv: list[str] | None = None) -> int:
     except LieGatesError as exc:
         _emit_error("numerical", str(exc))
         return 1
-    text = json.dumps(result, indent=2)
     print(text)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
     return 0
 
 

@@ -65,12 +65,13 @@ from .config import DEFAULTS
 from .errors import (
     DepthExhaustedError,
     DimensionMismatchError,
+    FamilyMismatchError,
     MatrixPropertyError,
     NotMemberError,
     UnknownGeneratorError,
 )
 from .generators import GeneratorSet
-from .lieclosure import LieBasis, _pauli_keys, membership
+from .lieclosure import LieBasis, membership
 from .linalg import (
     Matrix,
     as_matrix,
@@ -255,23 +256,21 @@ class _Templates(NamedTuple):
     node k for a positive theta, is exp(A * angle) at a leaf; at a
     commutator it depends on the set.
 
-    * Group commutators (any set): a node's value is sqrt(value / |coeff|)
+    * Group commutators (any set): a node's value is sqrt(value / coeff)
       of its parent and P_k = P_f P_s P_f^dag P_s^dag, as exp(tP) exp(tQ)
       exp(-tP) exp(-tQ) realises t^2 [P, Q]; f, s are its children in
-      recipe order, swapped when its coeff is negative.
-    * Exact words (exact, every generator a scaled Pauli string): children
+      recipe order.
+    * Exact words (when the basis's pauli flag is set): children
       anticommute and square to -I/N, so with A = sqrt(N) b_f,
       exp(pi/4 A) exp(t b_s) exp(-pi/4 A) = exp(t sqrt(N) [b_f, b_s] / 2).
       f, the conjugator, is the child of the shorter word (the left one on
       a tie) and has value pi sqrt(N) / 4; s, the carrier, has its parent's
       value times gain, 2 / (sqrt(N) coeff), negated when f is the right
-      child.  P_k = P_f P_s P_f^dag realises exp(theta b) for b the
-      recipe's value, orient times the basis element.
+      child.  P_k = P_f P_s P_f^dag realises exp(theta b_j).
 
     A negative theta realises P^dag: the element's word read backwards
     with every sign flipped.
     """
-    exact: bool             # exact Pauli-rotation words, else group commutators
     node_start: np.ndarray  # (dim + 1,) first node of each element
     word_start: np.ndarray  # (dim + 1,) first word entry of each element
     parent: np.ndarray      # parent node, -1 at a root
@@ -281,8 +280,7 @@ class _Templates(NamedTuple):
     first: np.ndarray       # children of a commutator node in product order (an
     second: np.ndarray      # exact word's conjugator, carrier), -1 at a leaf
     gain: np.ndarray        # exact words: a carrier's value per unit of its parent's
-    orient: np.ndarray      # (dim,) sign of each element's recipe scale
-    leaf_gen: np.ndarray    # generator of a leaf node by basis position, -1 elsewhere
+    leaf_gen: np.ndarray    # generator table row of a leaf node, -1 elsewhere
     node: np.ndarray        # leaf node of each word entry (positive theta)
     sign: np.ndarray        # +1 or -1 per entry, times the leaf's angle
 
@@ -291,9 +289,10 @@ def _templates(basis: LieBasis) -> _Templates:
     """The templates of every element, built on the first compile against the basis."""
     if basis._templates is not None:
         return basis._templates
+    for i, rec in enumerate(basis.recipes):
+        if not rec.coeff > 0:
+            raise ValueError(f"recipe {i} has coeff {rec.coeff}; closure writes positive ones")
     position = {gen_id: k for k, gen_id in enumerate(basis.generator_matrices)}
-    mats = list(basis.generator_matrices.values())
-    exact = bool(mats) and _pauli_keys(np.stack(mats)) is not None
     root_n = math.sqrt(basis.matrix_dim)
     parent, coeff, depth, height, first, second, gain, leaf_gen = ([] for _ in range(8))
 
@@ -308,10 +307,10 @@ def _templates(basis: LieBasis) -> _Templates:
             leaf_gen[k] = position[rec.gen_id]
             return k, [(k, 1.0)]
         (f, f_word), (s, s_word) = unfold(rec.left, k), unfold(rec.right, k)
-        swap = len(s_word) < len(f_word) if exact else rec.coeff < 0
+        swap = basis.pauli and len(s_word) < len(f_word)
         if swap:
             (f, f_word), (s, s_word) = (s, s_word), (f, f_word)
-        if exact:
+        if basis.pauli:
             gain[s] = (-2.0 if swap else 2.0) / (root_n * rec.coeff)
             inverse = f_word[::-1]
         else:
@@ -326,18 +325,15 @@ def _templates(basis: LieBasis) -> _Templates:
         word_start.append(len(word))
     depth = np.array(depth, dtype=np.intp)
     node, sign = (np.array(col) for col in zip(*word)) if word else [np.empty(0)] * 2
-    coeff = np.array(coeff, dtype=float)
-    # the recipe scale is the product of the coeffs of an element's nodes
-    flips = np.concatenate(([0], np.cumsum(coeff < 0)))[node_start]
 
     def ints(values):
         return np.array(values, dtype=np.intp)
 
     basis._templates = _Templates(
-        exact, ints(node_start), ints(word_start), ints(parent), coeff,
+        ints(node_start), ints(word_start), ints(parent), np.array(coeff, dtype=float),
         tuple(np.flatnonzero(depth == d) for d in range(1, depth.max(initial=0) + 1)),
         ints(height), ints(first), ints(second), np.array(gain, dtype=float),
-        1.0 - 2.0 * (np.diff(flips) % 2), ints(leaf_gen), ints(node), sign.astype(float),
+        ints(leaf_gen), ints(node), sign.astype(float),
     )
     return basis._templates
 
@@ -367,20 +363,11 @@ def _node_angles(t: _Templates, theta: np.ndarray, basis: LieBasis) -> np.ndarra
     quarter = math.pi * math.sqrt(basis.matrix_dim) / 4
     for nodes in t.by_depth:
         up = t.parent[nodes]
-        if t.exact:
+        if basis.pauli:
             value[nodes] = np.where(t.first[up] == nodes, quarter, value[up] * t.gain[nodes])
         else:
-            value[nodes] = np.sqrt(value[up] / np.abs(t.coeff[up]))
+            value[nodes] = np.sqrt(value[up] / t.coeff[up])
     return value / t.coeff
-
-
-def _table_rows(basis: LieBasis, table: _EigTable, gen: np.ndarray) -> np.ndarray:
-    """Table rows of generators given by basis position; refuses one the set lacks."""
-    gen_ids = list(basis.generator_matrices)
-    rows = np.array([table.index.get(gen_id, -1) for gen_id in gen_ids], dtype=np.intp)[gen]
-    if rows.size and rows.min() < 0:
-        raise UnknownGeneratorError(gen_ids[gen[np.argmax(rows < 0)]])
-    return rows
 
 
 def _slice_items(coords: np.ndarray, basis: LieBasis, slices: int,
@@ -403,7 +390,7 @@ def _slice_items(coords: np.ndarray, basis: LieBasis, slices: int,
     # a negative theta reads its element's word backwards, every sign flipped
     entry = np.repeat(t.word_start[active], counts) + np.where(
         back, np.repeat(counts - 1, counts) - pos, pos)
-    row = _table_rows(basis, table, t.leaf_gen[t.node[entry]])
+    row = t.leaf_gen[t.node[entry]]
     tau = np.where(back, -t.sign[entry], t.sign[entry]) * angle[t.node[entry]]
     if cfg.merge:
         runs = merge_adjacent(list(zip(row.tolist(), tau.tolist())) * slices)
@@ -421,7 +408,7 @@ def _slice_items(coords: np.ndarray, basis: LieBasis, slices: int,
 
 
 def _tree_words(t: _Templates, elems: np.ndarray, negative: np.ndarray, angle: np.ndarray,
-                basis: LieBasis, table: _EigTable) -> np.ndarray:
+                table: _EigTable) -> np.ndarray:
     """Stack of the words of some elements, formed on their trees."""
     start = t.node_start[elems]
     counts = t.node_start[elems + 1] - start
@@ -432,7 +419,7 @@ def _tree_words(t: _Templates, elems: np.ndarray, negative: np.ndarray, angle: n
     n = table.lam.shape[1]
     stack = np.empty((len(nodes), n, n), dtype=complex)
     leaf = nodes[height == 0]
-    stack[height == 0] = _gates(table, _table_rows(basis, table, t.leaf_gen[leaf]), angle[leaf])
+    stack[height == 0] = _gates(table, t.leaf_gen[leaf], angle[leaf])
     for h in range(1, height.max() + 1):
         k = np.flatnonzero(height == h)
         f, s = t.first[nodes[k]] - shift[k], t.second[nodes[k]] - shift[k]
@@ -444,26 +431,21 @@ def _tree_words(t: _Templates, elems: np.ndarray, negative: np.ndarray, angle: n
     return top
 
 
-def _oriented(basis: LieBasis, t: _Templates, elems: np.ndarray) -> np.ndarray:
-    """Stack of orient * b_j, the values of some elements' recipes."""
-    return np.stack([basis.basis[j] for j in elems]) * t.orient[elems, None, None]
-
-
 def _word_blocks(t: _Templates, basis: LieBasis, gens: GeneratorSet, theta: np.ndarray):
     """The words of every element at one slice's coordinates theta, by block.
 
     Yields (elems, words) from the last block back.  An element with theta
-    0 has word I.  An exact word is exp(theta b) for b = orient * b_j with
-    b^2 = -I/N, so it is cos(theta / sqrt(N)) I + sqrt(N) sin(theta /
-    sqrt(N)) b.  A group-commutator word is formed on its tree: each leaf,
-    at its raw angle, is exponentiated once and each commutator node formed
-    from its children one tree height at a time.  A block's stacks hold at
-    most _TREE_BYTES of matrices (or one element): an exact element counts
-    one matrix, a group-commutator element its tree nodes.
+    0 has word I.  An exact word is exp(theta b_j) with b_j^2 = -I/N, so it
+    is cos(theta / sqrt(N)) I + sqrt(N) sin(theta / sqrt(N)) b_j.  A
+    group-commutator word is formed on its tree: each leaf, at its raw
+    angle, is exponentiated once and each commutator node formed from its
+    children one tree height at a time.  A block's stacks hold at most
+    _TREE_BYTES of matrices (or one element): an exact element counts one
+    matrix, a group-commutator element its tree nodes.
     """
     n = basis.matrix_dim
     budget = _TREE_BYTES // (16 * n * n)
-    sizes = np.ones(basis.dim, np.intp) if t.exact else np.diff(t.node_start)
+    sizes = np.ones(basis.dim, np.intp) if basis.pauli else np.diff(t.node_start)
     bounds = [0]
     while bounds[-1] < basis.dim:
         hi, total = bounds[-1] + 1, sizes[bounds[-1]]
@@ -471,20 +453,20 @@ def _word_blocks(t: _Templates, basis: LieBasis, gens: GeneratorSet, theta: np.n
             total += sizes[hi]
             hi += 1
         bounds.append(hi)
-    angle = None if t.exact else _node_angles(t, theta, basis)
+    angle = None if basis.pauli else _node_angles(t, theta, basis)
     for lo, hi in reversed(list(zip(bounds, bounds[1:]))):
         elems = np.arange(lo, hi)
-        if t.exact:
+        if basis.pauli:
             x = theta[elems] / math.sqrt(n)
+            b = np.stack(basis.basis[lo:hi])
             yield elems, (np.cos(x)[:, None, None] * np.eye(n)
-                          + (math.sqrt(n) * np.sin(x))[:, None, None] * _oriented(basis, t, elems))
+                          + (math.sqrt(n) * np.sin(x))[:, None, None] * b)
             continue
         words = np.empty((len(elems), n, n), dtype=complex)
         words[:] = np.eye(n)
         on = theta[elems] != 0
         if on.any():
-            words[on] = _tree_words(t, elems[on], theta[elems[on]] < 0, angle, basis,
-                                    _eig_table(gens))
+            words[on] = _tree_words(t, elems[on], theta[elems[on]] < 0, angle, _eig_table(gens))
         yield elems, words
 
 
@@ -538,23 +520,23 @@ def _linearise(coords: np.ndarray, basis: LieBasis, slices: int,
     With F_j the word of element j, S_j the product of the words after it
     and D_j = F_j^-1 dF_j / dtheta_j, W^-1 dW / dc_j = S_j^dag D_j S_j /
     slices; column j of the Jacobian is its frame coordinates.  An exact
-    word has D_j = orient * b_j; a group-commutator word takes the forward
-    difference of its word at theta + _DIFF_STEP, every element of a block
-    in one tree evaluation.  Blocks run from the last element back, so the
-    suffix S_j is carried from block to block and ends as W.
+    word has D_j = b_j; a group-commutator word takes the forward difference
+    of its word at theta + _DIFF_STEP, every element of a block in one tree
+    evaluation.  Blocks run from the last element back, so the suffix S_j
+    is carried from block to block and ends as W.
     """
     t = _templates(basis)
     n, dim = basis.matrix_dim, basis.dim
     theta = _realised(coords, slices)
-    if not t.exact:
+    if not basis.pauli:
         shifted = theta + _DIFF_STEP
         moved = _word_blocks(t, basis, gens, shifted)
     frame = basis.frame.reshape(dim, -1)
     jac = np.empty((dim, dim))
     suffix = np.eye(n, dtype=complex)
     for elems, words in _word_blocks(t, basis, gens, theta):
-        if t.exact:
-            diff = _oriented(basis, t, elems)
+        if basis.pauli:
+            diff = np.stack([basis.basis[j] for j in elems])
         else:
             diff = words.conj().transpose(0, 2, 1) @ (next(moved)[1] - words)
             diff /= (shifted - theta)[elems, None, None]
@@ -630,6 +612,8 @@ def _plan(u, gens: GeneratorSet, basis: LieBasis, cfg: CompileConfig) -> _Plan:
         raise DimensionMismatchError(
             f"target dimension {m.shape[0]} does not match generators ({gens.dim})"
         )
+    if gens.ids() != list(basis.generator_matrices):
+        raise FamilyMismatchError("generator ids differ from the basis's, or their order")
     if not is_unitary(m):
         raise MatrixPropertyError("compile requires a unitary target")
     phases, vecs = unitary_eig(m)
@@ -679,8 +663,12 @@ def compile(u, gens: GeneratorSet, basis: LieBasis,
             cfg: CompileConfig | None = None) -> GateSequence:
     """Compile a unitary into a sequence of generator exponentials.
 
-    The target's principal logarithm must lie in the basis span up to a
-    global phase, otherwise NotMemberError carries the off-span residual.
+    The basis must be closure(gens): the compiler reads its word structure
+    from the closure's recipes and pauli flag, and refuses a set whose ids
+    differ from the basis's generator ids, or their order, with
+    FamilyMismatchError.  The target's principal logarithm must lie in the
+    basis span up to a global phase, otherwise NotMemberError carries the
+    off-span residual.
     When cfg.target_error is set the slice count doubles until the
     phase-invariant error reaches the target or _MAX_SLICES slices are
     reached, even where the error grows; the best word is returned, and the

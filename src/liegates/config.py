@@ -2,10 +2,13 @@
 
 The CLI overrides three of them: `closure --tol` (closure_tol),
 `compile --tau-clip` (tau_clip) and `compile --sweep` (slice counts;
-a bare --sweep runs m_sweep).  The others are fixed: no function takes a
-per-call override, and no environment variables are consulted.  dim_cap
-is read only by `linalg.check_capacity`, which runs before any dense
-allocation sized from input.
+a bare --sweep runs m_sweep).  In the library, `closure(gens, tol)`,
+`CompileConfig.tau_clip`, the `m_values` of `compile_report` and the
+`tol` of the `is_hermitian`, `is_anti_hermitian` and `is_unitary`
+predicates take a per-call value; every other default is fixed, and no
+environment variables are consulted.  dim_cap is read only by
+`linalg.check_capacity`, which runs before any dense allocation sized
+from input.
 """
 
 from dataclasses import dataclass

@@ -67,6 +67,7 @@ class LieBasis:
     # orthonormal frame with basis[m] = sum_k tri[k, m] * frame[k], k <= m
     frame: np.ndarray | None = None
     tri: np.ndarray | None = None
+    pauli: bool = False  # closure took the Pauli path: every element a scaled Pauli string
     # compiler word templates of every element, built on the first compile
     _templates: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -207,7 +208,7 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
       commute and twice their product string, keyed x_i ^ x_j, z_i ^ z_j,
       when they anticommute, that is when (x_i & z_j) ^ (z_i & x_j) has
       odd parity.  The filter keeps the anticommuting i whose product
-      key no admitted element holds.
+      key no admitted element holds.  LieBasis.pauli records this case.
     * Otherwise the commutators [b_i, b_j] are formed in stacked blocks
       of at most 64 and projected on the frame in two matrix products;
       one whose residual is at most thresh/2 is dropped.
@@ -250,6 +251,7 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
     out = LieBasis(
         matrix_dim=n_dim,
         generator_matrices={el.id: el.matrix for el in gens.elements},
+        pauli=gen_keys is not None,
     )
 
     def admit(c: Matrix, recipe: Recipe, generation: int, key: int) -> bool:
@@ -339,14 +341,14 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
     return out
 
 
-def membership(a, basis: LieBasis, tol: float | None = None) -> MembershipResult:
+def membership(a, basis: LieBasis) -> MembershipResult:
     """Coordinates of an anti-Hermitian matrix in the basis, if it lies in span.
 
     The matrix is projected onto the orthonormal frame; it is a member when
-    the off-span residual is at most tol times its norm.  Coefficients in
-    the basis follow from the triangular frame coordinates.
+    the off-span residual is at most DEFAULTS.membership_tol times its
+    norm.  Coefficients in the basis follow from the triangular frame
+    coordinates.
     """
-    tol = DEFAULTS.membership_tol if tol is None else tol
     m = as_matrix(a)
     if m.shape[0] != basis.matrix_dim:
         raise DimensionMismatchError(
@@ -361,7 +363,8 @@ def membership(a, basis: LieBasis, tol: float | None = None) -> MembershipResult
     residual = frob_norm(m - np.tensordot(proj, basis.frame, axes=1))
     coeffs = np.linalg.solve(basis.tri, proj)
     norm = frob_norm(m)
-    return MembershipResult(residual <= tol * max(norm, 1e-300), coeffs, residual)
+    return MembershipResult(residual <= DEFAULTS.membership_tol * max(norm, 1e-300), coeffs,
+                            residual)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +406,10 @@ def dimension_table(
     and whether the closure spans the full traceless algebra.  A u(N)
     prediction matches a closure that spans su(N): commutators are
     traceless, so the closure plus the centre i*I is the u(N) count.
+    max_n below 1 is refused with ValueError.
     """
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
     selected = {label: family for label, family in _BUILDERS.items()
                 if family.predicted and (not families or label in families)}
     if any(family.pinned for family in selected.values()):

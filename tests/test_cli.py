@@ -190,6 +190,11 @@ OUT_OF_RANGE = [
     (["span", "--l", "1", "--n", "1"], "span needs l >= 2 and n >= 1, got l = 1, n = 1"),
     (["compile", "--family", "clifford_two_local", "--n", "2", "--slices", "0"],
      "slices must be at least 1"),
+    (["compile", "--family", "clifford_two_local", "--n", "3", "--target", "cnot"],
+     "cnot target needs a dimension-4 generator set, got 8"),
+    (["table", "--max-n", "0"], "max_n must be at least 1, got 0"),
+    (["table", "--max-n", "-1", "--families", "torus_splits"],
+     "max_n must be at least 1, got -1"),
 ]
 
 
@@ -293,6 +298,44 @@ def test_out_file(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(path.read_text()) == json.loads(out)
+
+
+def test_unwritable_out_file_exits_2_and_prints_nothing(capsys, tmp_path):
+    code, out, err = run_json(
+        capsys, ["span", "--l", "2", "--n", "1", "--out", str(tmp_path / "missing" / "x.json")]
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "io"
+
+
+@pytest.mark.parametrize("content", [
+    [[1, 0], [0, 1]],
+    {"re": [[1, 0]], "im": [[0, 0]]},
+    [[[1, 0], [0, 0]], [[0, 0]]],
+    [[[1, 0], [0, 0]]],
+    [[["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]],
+], ids=["real-entries", "dict", "ragged", "not-square", "strings"])
+def test_malformed_target_file_exits_2(capsys, tmp_path, content):
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run_json(capsys, ["compile", "--family", "clifford_two_local", "--n", "2",
+                                       "--target-file", str(path)])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "validation"
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--families", "nope"],
+    ["table", "--families", "clifford_full", "pauli"],
+    ["compile", "--family", "clifford_two_local", "--n", "2", "--target", "nope"],
+], ids=["table-unknown-family", "table-family-without-prediction", "compile-unknown-target"])
+def test_unknown_name_exits_2(capsys, argv):
+    code, out, err = run_json(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "usage"
 
 
 def test_compile_sweep_mode(capsys):

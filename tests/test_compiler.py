@@ -22,12 +22,14 @@ from liegates.compiler import (
 )
 from liegates.errors import (
     DepthExhaustedError,
+    FamilyMismatchError,
     MatrixPropertyError,
     NotMemberError,
     UnknownGeneratorError,
 )
 from liegates.generators import (
     FAMILIES,
+    GeneratorSet,
     clifford_gammas,
     two_local_clifford_set,
     two_local_torus_set,
@@ -435,21 +437,17 @@ def _oracle_cases():
 
     Signs are mixed, every fifth coordinate is zero, and the last one is a
     commutator coordinate of 3e-14, dropped at 64 slices (under 1e-15).
-    Each family also runs with every recipe coeff negated, which swaps the
-    order of every group commutator and negates every exact word's angles.
     """
     rng = np.random.default_rng(40)
     for label, n, l in _ORACLE_SETS:
         gens = build_family(label, n, l)
         basis = closure(gens)
-        negated = replace(basis, recipes=[replace(r, coeff=-r.coeff) for r in basis.recipes])
         for scale in (1e-3, 0.3, 3.0, 30.0):
             coords = rng.normal(scale=scale, size=basis.dim)
             coords[::5] = 0.0
             coords[-1] = 3e-14
             for slices in (1, 8, 64):
-                for b in (basis, negated):
-                    yield gens, b, coords, slices
+                yield gens, basis, coords, slices
 
 
 def test_slice_items_match_recursive_realisation():
@@ -512,6 +510,40 @@ def test_slice_product_matches_flat_word(monkeypatch, tree_bytes):
         product = _slice_product(coords, basis, slices, gens)
         flat = _word_product(_eig_table(gens), *_slice_items(coords, basis, slices, gens, cfg))
         assert np.max(np.abs(product - flat)) <= 1e-12
+
+
+# -- what the compiler takes from closure -------------------------------------
+
+@pytest.mark.parametrize("coeff", [-1.0, 0.0], ids=["negated", "zero"])
+@pytest.mark.parametrize("label, n, l", [("clifford_two_local", 2, 2), ("torus_splits", 1, 3)])
+def test_non_positive_recipe_coeff_is_refused(label, n, l, coeff):
+    # closure writes every coeff as |c| > 0; any other is refused, not reinterpreted
+    gens, basis = _closed(label, n, l)
+    recipes = list(basis.recipes)
+    recipes[-1] = replace(recipes[-1], coeff=coeff * recipes[-1].coeff)
+    with pytest.raises(ValueError, match="coeff"):
+        compile(np.eye(gens.dim), gens, replace(basis, recipes=recipes))
+
+
+@pytest.mark.parametrize("label, n, l", [("clifford_two_local", 2, 2), ("torus_splits", 1, 3)])
+def test_generator_ids_must_be_those_of_the_basis_in_order(label, n, l):
+    # a leaf's generator position in the basis is its row in the set's table
+    gens, basis = _closed(label, n, l)
+    for elements in (gens.elements[::-1], gens.elements[:-1]):
+        other = GeneratorSet(gens.family, gens.n, gens.l, list(elements))
+        with pytest.raises(FamilyMismatchError):
+            compile(np.eye(gens.dim), other, basis)
+        with pytest.raises(FamilyMismatchError):
+            compile_report(np.eye(gens.dim), other, basis, (1,))
+
+
+def test_basis_without_the_pauli_flag_gets_group_commutators():
+    # a hand-built basis is not marked: its words are correct but longer
+    gens, basis = _closed("clifford_two_local", 2)
+    plain = replace(basis, pauli=False)
+    assert compiler_mod._templates(plain).word_start[-1] == 111
+    report = compile(_su4(21), gens, plain, CompileConfig(target_error=1e-8)).report
+    assert report["target_error_met"]
 
 
 def _su4(seed):

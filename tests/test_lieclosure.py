@@ -536,3 +536,21 @@ def test_only_non_pauli_sets_use_the_frame_filter(monkeypatch):
     assert calls == []
     closure(torus_split_set(2, 3))
     assert calls
+
+
+PAULI_FLAG_CASES = TABLE_ROWS + [(label, n, 2) for label, n in BINARY_TORUS_SETS]
+
+
+@pytest.mark.parametrize("label, n, l", PAULI_FLAG_CASES,
+                         ids=[f"{label}-{n}-{l}" for label, n, l in PAULI_FLAG_CASES])
+def test_closure_flags_the_pauli_path(label, n, l):
+    # the compiler reads this flag to pick exact words; every l = 2 set is Pauli
+    assert closure(build_family(label, n, l)).pauli is (l == 2)
+
+
+def test_pauli_flag_is_off_for_other_sets():
+    one_non_pauli = _with_extra(clifford_gammas(2), "GuG0",
+                                gen_mod.gamma_u(2) + 0.5 * clifford_gammas(2).matrices()[0])
+    assert closure(one_non_pauli).pauli is False
+    assert closure(_so3()).pauli is False
+    assert LieBasis(matrix_dim=2, generator_matrices={}).pauli is False
