@@ -11,7 +11,8 @@ Every capability is a subcommand writing a single JSON document to stdout:
     table      closure dimensions against the predicted counts
 
 Exit codes: 0 success, 1 numerical failure (for example a target outside
-the generated algebra), 2 validation failure.  Errors are JSON on stderr.
+the generated algebra, or a failed self check, whose document is still
+printed), 2 validation failure.  Errors are JSON on stderr.
 Complex numbers serialise as [re, im] pairs; matrices as nested lists.
 With a fixed --seed the output is byte-identical across runs.
 """
@@ -107,6 +108,7 @@ def _cmd_relations(args) -> dict:
 def _cmd_closure(args) -> dict:
     gens = build_family(args.family, args.n, args.l)
     basis = closure(gens, tol=args.tol)
+    scales = basis.recipe_scales()
     out = {
         "family": gens.family,
         "label": gens.family,
@@ -117,14 +119,10 @@ def _cmd_closure(args) -> dict:
         "spans_su": basis.spans_su,
         "generations": basis.generations,
         "max_recipe_residual": basis.max_recipe_residual(),
+        # every element is its normalised tree value: exact is always true
         "recipes": [
-            {
-                "index": i,
-                "sexpr": basis.sexpr(i),
-                "scale": basis.recipe_scale(i),
-                "exact": basis.recipes[i].exact,
-            }
-            for i in range(basis.dim)
+            {"index": i, "sexpr": basis.sexpr(i), "scale": scale, "exact": True}
+            for i, scale in enumerate(scales)
         ],
     }
     if args.include_basis:
@@ -332,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_compile)
 
     p = sub.add_parser("verify", help="run the built-in self checks")
-    p.add_argument("--self", action="store_true", dest="self_check")
+    p.add_argument("--self", action="store_true", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_verify)
 
@@ -353,7 +351,8 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text = json.dumps(args.fn(args), indent=2)
+        payload = args.fn(args)
+        text = json.dumps(payload, indent=2)
         # written before anything is printed, so a failed write prints nothing
         if args.out:
             with open(args.out, "w") as fh:
@@ -371,7 +370,8 @@ def run(argv: list[str] | None = None) -> int:
         _emit_error("numerical", str(exc))
         return 1
     print(text)
-    return 0
+    # verify's document reports a failed self check with ok false
+    return 1 if payload.get("ok") is False else 0
 
 
 def main() -> None:

@@ -63,6 +63,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import (
+    CapacityError,
     DepthExhaustedError,
     DimensionMismatchError,
     FamilyMismatchError,
@@ -251,10 +252,11 @@ class _Templates(NamedTuple):
     """Every basis element's unfolded recipe tree and word.
 
     Nodes are numbered element by element, each element's root first and
-    every node after its parent.  For a coordinate theta a node's value is
-    |theta| at the root, and its angle is value / coeff.  P_k, the word of
-    node k for a positive theta, is exp(A * angle) at a leaf; at a
-    commutator it depends on the set.
+    every node after its parent, whose height (its element's generation)
+    is larger.  For a coordinate theta a node's value is |theta| at the
+    root, and its angle is value / coeff.  P_k, the word of node k for a
+    positive theta, is exp(A * angle) at a leaf; at a commutator it
+    depends on the set.
 
     * Group commutators (any set): a node's value is sqrt(value / coeff)
       of its parent and P_k = P_f P_s P_f^dag P_s^dag, as exp(tP) exp(tQ)
@@ -275,8 +277,8 @@ class _Templates(NamedTuple):
     word_start: np.ndarray  # (dim + 1,) first word entry of each element
     parent: np.ndarray      # parent node, -1 at a root
     coeff: np.ndarray       # coeff of each node's recipe
-    by_depth: tuple         # non-root nodes, one array per distance from the root
-    height: np.ndarray      # 0 at a leaf, else 1 + the larger child height
+    height: np.ndarray      # generation of the node's element: 0 at a leaf
+    by_height: tuple        # non-root nodes, one array per height, the largest first
     first: np.ndarray       # children of a commutator node in product order (an
     second: np.ndarray      # exact word's conjugator, carrier), -1 at a leaf
     gain: np.ndarray        # exact words: a carrier's value per unit of its parent's
@@ -294,13 +296,12 @@ def _templates(basis: LieBasis) -> _Templates:
             raise ValueError(f"recipe {i} has coeff {rec.coeff}; closure writes positive ones")
     position = {gen_id: k for k, gen_id in enumerate(basis.generator_matrices)}
     root_n = math.sqrt(basis.matrix_dim)
-    parent, coeff, depth, height, first, second, gain, leaf_gen = ([] for _ in range(8))
+    parent, coeff, height, first, second, gain, leaf_gen = ([] for _ in range(7))
 
     def unfold(i: int, up: int) -> tuple[int, list]:
         # node k and its positive-theta word as (leaf node, sign) entries
         k, rec = len(parent), basis.recipes[i]
-        for column, value in ((parent, up), (coeff, rec.coeff),
-                              (depth, depth[up] + 1 if up >= 0 else 0), (height, 0),
+        for column, value in ((parent, up), (coeff, rec.coeff), (height, basis.generations[i]),
                               (first, -1), (second, -1), (gain, 0.0), (leaf_gen, -1)):
             column.append(value)
         if rec.kind == "leaf":
@@ -315,7 +316,7 @@ def _templates(basis: LieBasis) -> _Templates:
             inverse = f_word[::-1]
         else:
             inverse = f_word[::-1] + s_word[::-1]
-        height[k], first[k], second[k] = 1 + max(height[f], height[s]), f, s
+        first[k], second[k] = f, s
         return k, f_word + s_word + [(node, -e) for node, e in inverse]
 
     node_start, word_start, word = [0], [0], []
@@ -323,16 +324,17 @@ def _templates(basis: LieBasis) -> _Templates:
         word.extend(unfold(i, -1)[1])
         node_start.append(len(parent))
         word_start.append(len(word))
-    depth = np.array(depth, dtype=np.intp)
     node, sign = (np.array(col) for col in zip(*word)) if word else [np.empty(0)] * 2
 
     def ints(values):
         return np.array(values, dtype=np.intp)
 
+    parent, height = ints(parent), ints(height)
     basis._templates = _Templates(
-        ints(node_start), ints(word_start), ints(parent), np.array(coeff, dtype=float),
-        tuple(np.flatnonzero(depth == d) for d in range(1, depth.max(initial=0) + 1)),
-        ints(height), ints(first), ints(second), np.array(gain, dtype=float),
+        ints(node_start), ints(word_start), parent, np.array(coeff, dtype=float), height,
+        tuple(np.flatnonzero((parent >= 0) & (height == h))
+              for h in range(height.max(initial=0), -1, -1)),
+        ints(first), ints(second), np.array(gain, dtype=float),
         ints(leaf_gen), ints(node), sign.astype(float),
     )
     return basis._templates
@@ -354,14 +356,14 @@ def _realised(coords: np.ndarray, slices: int) -> np.ndarray:
 def _node_angles(t: _Templates, theta: np.ndarray, basis: LieBasis) -> np.ndarray:
     """Angle of every node (see _Templates) for one slice's element coordinates theta.
 
-    Values are computed one depth at a time for every node; sqrt, products
-    and division are correctly rounded, so they are those of a node-by-node
-    pass, bit for bit.
+    Values are computed one height at a time, the largest first, for every
+    node; sqrt, products and division are correctly rounded, so they are
+    those of a node-by-node pass, bit for bit.
     """
     value = np.zeros(len(t.parent))
     value[t.node_start[:-1]] = np.abs(theta)
     quarter = math.pi * math.sqrt(basis.matrix_dim) / 4
-    for nodes in t.by_depth:
+    for nodes in t.by_height:
         up = t.parent[nodes]
         if basis.pauli:
             value[nodes] = np.where(t.first[up] == nodes, quarter, value[up] * t.gain[nodes])
@@ -375,7 +377,8 @@ def _slice_items(coords: np.ndarray, basis: LieBasis, slices: int,
     """One slice's word as (table rows, angles): template words, wrapped and clipped.
 
     With cfg.merge it is the word of all slices, runs of equal rows merged
-    first.  Angles are then reduced by their generator's period and
+    first; more than _MAX_GATES gates before the merge are refused with
+    CapacityError.  Angles are then reduced by their generator's period and
     oversized ones split into equal parts; no move changes the product.
     """
     t = _templates(basis)
@@ -393,6 +396,7 @@ def _slice_items(coords: np.ndarray, basis: LieBasis, slices: int,
     row = t.leaf_gen[t.node[entry]]
     tau = np.where(back, -t.sign[entry], t.sign[entry]) * angle[t.node[entry]]
     if cfg.merge:
+        _check_gates(len(row) * slices)
         runs = merge_adjacent(list(zip(row.tolist(), tau.tolist())) * slices)
         row, tau = np.array([g for g, _ in runs], dtype=np.intp), np.array([t for _, t in runs])
     period = table.period[row]
@@ -493,11 +497,19 @@ def _slice_product(coords: np.ndarray, basis: LieBasis, slices: int,
 
 # refinement steps per compile; the error refinement stops at (rounding);
 # the forward-difference step of a group-commutator word; slice cap of the
-# target-error mode
+# target-error mode; gates a word may hold (a list of 16M items takes
+# 128 MB)
 _REFINE_MAX_ITER = 60
 _ERR_FLOOR = 1e-13
 _DIFF_STEP = 1e-7
 _MAX_SLICES = 4096
+_MAX_GATES = 1 << 24
+
+
+def _check_gates(count: int) -> None:
+    """Refuse a word of more than _MAX_GATES gates before it is allocated."""
+    if count > _MAX_GATES:
+        raise CapacityError(f"the word would hold {count} gates, above the cap of {_MAX_GATES}")
 
 
 def _log_unitary(x: Matrix) -> Matrix:
@@ -630,9 +642,8 @@ def _plan(u, gens: GeneratorSet, basis: LieBasis, cfg: CompileConfig) -> _Plan:
     if not res.member:
         raise NotMemberError(res.residual, "target logarithm lies outside the generated "
                              f"algebra (residual {res.residual:.6g})")
-    t = _templates(basis)
     needed = np.flatnonzero(np.abs(res.coefficients) >= 1e-14)
-    max_depth = int(t.height[t.node_start[needed]].max(initial=0))
+    max_depth = int(np.array(basis.generations)[needed].max(initial=0))
     if max_depth > cfg.max_commutator_depth:
         raise DepthExhaustedError(f"recipe depth {max_depth} exceeds configured maximum "
                                   f"{cfg.max_commutator_depth}")
@@ -643,13 +654,15 @@ def _compile_at(plan: _Plan, slices: int) -> tuple[np.ndarray, np.ndarray, int, 
     """One slice count's word, a unit of table rows and angles repeated reps times.
 
     The report measures the slice product raised to the slice count;
-    the word itself is built once, for the caller.
+    the word itself is built once, for the caller.  A word of more than
+    _MAX_GATES gates is refused with CapacityError before its error is formed.
     """
     gens, basis, cfg = plan.gens, plan.basis, plan.cfg
     coords, unit = _refine_coords(plan, slices)
     gen, tau = _slice_items(coords, basis, slices, gens, cfg)
     # a merged word spans the slices, not the two copies of a root
     reps = plan.copies if cfg.merge else slices * plan.copies
+    _check_gates(reps * len(gen))
     frob, phase_inv = error_metrics(plan.target,
                                     np.linalg.matrix_power(unit, slices * plan.copies))
     report = {"frob_error": frob, "phase_invariant_error": phase_inv,
@@ -669,10 +682,13 @@ def compile(u, gens: GeneratorSet, basis: LieBasis,
     FamilyMismatchError.  The target's principal logarithm must lie in the
     basis span up to a global phase, otherwise NotMemberError carries the
     off-span residual.
-    When cfg.target_error is set the slice count doubles until the
-    phase-invariant error reaches the target or _MAX_SLICES slices are
-    reached, even where the error grows; the best word is returned, and the
-    error actually achieved is always reported, never promised.
+    A slice count whose word would pass _MAX_GATES gates is refused with
+    CapacityError before the word or its error is formed.  When
+    cfg.target_error is set the slice count doubles until the
+    phase-invariant error reaches the target, _MAX_SLICES slices are
+    reached or the next word would pass _MAX_GATES, even where the error
+    grows; the best word is returned, and the error actually achieved is
+    always reported, never promised.
     """
     cfg = cfg or CompileConfig()
     plan = _plan(u, gens, basis, cfg)
@@ -681,7 +697,10 @@ def compile(u, gens: GeneratorSet, basis: LieBasis,
     if cfg.target_error is not None:
         while report["phase_invariant_error"] > cfg.target_error and slices < _MAX_SLICES:
             slices *= 2
-            word = _compile_at(plan, slices)
+            try:
+                word = _compile_at(plan, slices)
+            except CapacityError:
+                break
             if word[3]["phase_invariant_error"] < report["phase_invariant_error"]:
                 gen, tau, reps, report = word
         report["target_error"] = cfg.target_error
@@ -700,6 +719,8 @@ def compile_report(u, gens: GeneratorSet, basis: LieBasis,
     errors sit below 1e-8.  As in the report of compile, a row carries
     square_root_split when the target was split into two copies of its
     principal square root; its gate_count is then that of 2 * slices slices.
+    A slice count whose word would pass _MAX_GATES gates is refused with
+    CapacityError, as in compile.
     """
     cfg = cfg or CompileConfig()
     m_values = DEFAULTS.m_sweep if m_values is None else tuple(m_values)

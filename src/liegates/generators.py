@@ -13,7 +13,6 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -193,27 +192,16 @@ def clifford_gammas(n: int) -> GeneratorSet:
     return GeneratorSet("clifford_full", n, 2, els)
 
 
-def gamma_u(n: int, variant: str = "three", indices: tuple[int, ...] | None = None) -> Matrix:
-    """Extra element: i times a product of three or four distinct gammas.
+def gamma_u(n: int) -> Matrix:
+    """Extra element: i Gamma_0 Gamma_1 Gamma_2, anti-Hermitian; needs n >= 2.
 
-    The default index choices are (0, 1, 2) and (0, 1, 2, 3); other index
-    tuples are accepted but only the defaults are validated elsewhere.
+    Reversing three anticommuting anti-Hermitian gammas flips the sign
+    twice, so the product is Hermitian and i times it anti-Hermitian.
     """
-    if variant not in ("three", "four"):
-        raise ValueError("variant must be 'three' or 'four'")
-    if indices is None:
-        indices = (0, 1, 2) if variant == "three" else (0, 1, 2, 3)
-    count = 3 if variant == "three" else 4
-    if len(indices) != count or len(set(indices)) != count:
-        raise ValueError(f"need {count} distinct indices, got {indices}")
-    if max(indices) >= 2 * n:
-        raise ValueError(f"index {max(indices)} out of range for n={n}")
-    gammas = clifford_gammas(n)
-    mats = [gammas.elements[i].matrix for i in indices]
-    out = 1j * reduce(np.matmul, mats)
-    if not is_anti_hermitian(out, tol=1e-12):
-        raise MatrixPropertyError("gamma_u product is not anti-Hermitian")
-    return out
+    if n < 2:
+        raise ValueError(f"gamma_u needs the gammas 0, 1, 2, so n >= 2, got n={n}")
+    g0, g1, g2 = clifford_gammas(n).matrices()[:3]
+    return 1j * (g0 @ g1 @ g2)
 
 
 def torus_T(n: int, l: int) -> GeneratorSet:

@@ -44,7 +44,6 @@ class Recipe:
     left: int | None = None
     right: int | None = None
     coeff: float = 1.0        # frob_inner(basis element, local raw value)
-    exact: bool = True        # always: each element is its normalised tree value
 
 
 @dataclass
@@ -59,6 +58,12 @@ class MembershipResult:
 
 @dataclass
 class LieBasis:
+    """The breadth-first record of a closure.
+
+    recipes[i] is a leaf in generation 0, else a commutator of two earlier
+    elements, one of the generation before: the tree of element i has
+    height generations[i], and scales and tree values take one forward pass.
+    """
     matrix_dim: int
     generator_matrices: dict[str, Matrix]
     basis: list[Matrix] = field(default_factory=list)
@@ -88,10 +93,8 @@ class LieBasis:
         return np.stack(self.basis)
 
     def depth(self, i: int) -> int:
-        r = self.recipes[i]
-        if r.kind == "leaf":
-            return 0
-        return 1 + max(self.depth(r.left), self.depth(r.right))
+        """Height of element i's recipe tree, its generation."""
+        return self.generations[i]
 
     def sexpr(self, i: int) -> str:
         r = self.recipes[i]
@@ -99,36 +102,22 @@ class LieBasis:
             return r.gen_id
         return f"(comm {self.sexpr(r.left)} {self.sexpr(r.right)})"
 
-    def raw_recipe_value(self, i: int, _cache: dict | None = None) -> Matrix:
-        """Dense value of the fully unfolded recipe tree over generator ids."""
-        cache = {} if _cache is None else _cache
-        if i in cache:
-            return cache[i]
-        r = self.recipes[i]
-        if r.kind == "leaf":
-            out = self.generator_matrices[r.gen_id]
-        else:
-            out = commutator(
-                self.raw_recipe_value(r.left, cache), self.raw_recipe_value(r.right, cache)
-            )
-        cache[i] = out
-        return out
-
-    def recipe_scale(self, i: int) -> float:
-        """Scale relating the unfolded tree value to the basis element."""
-        r = self.recipes[i]
-        if r.kind == "leaf":
-            return r.coeff
-        return r.coeff * self.recipe_scale(r.left) * self.recipe_scale(r.right)
-
-    def recipe_residual(self, i: int, _cache: dict | None = None) -> float:
-        """|tree value / scale - basis element|_F, the recipe fidelity."""
-        raw = self.raw_recipe_value(i, _cache)
-        return frob_norm(raw / self.recipe_scale(i) - self.basis[i])
+    def recipe_scales(self) -> list[float]:
+        """Per element, the scale relating its unfolded tree value to it."""
+        scales: list[float] = []
+        for r in self.recipes:
+            scales.append(r.coeff if r.kind == "leaf"
+                          else r.coeff * scales[r.left] * scales[r.right])
+        return scales
 
     def max_recipe_residual(self) -> float:
-        cache: dict = {}
-        return max(self.recipe_residual(i, cache) for i in range(self.dim))
+        """Largest |tree value / scale - basis element|_F, the recipe fidelity."""
+        raw: list[Matrix] = []
+        for r in self.recipes:
+            raw.append(self.generator_matrices[r.gen_id] if r.kind == "leaf"
+                       else commutator(raw[r.left], raw[r.right]))
+        return max(frob_norm(v / scale - b)
+                   for v, scale, b in zip(raw, self.recipe_scales(), self.basis))
 
 
 # commutator rows per stacked product in the dense candidate filter of closure
@@ -215,9 +204,10 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
 
     For a Pauli set both filters keep the same pairs: a held product's
     residual is at rounding level and a new one's is 2/sqrt(N).  The
-    sweep terminates when nothing is admitted, the ambient dimension is
-    reached, or the frame holds N^2 - 1 rows that leave out only the centre
-    direction i*I (su(N) is spanned).  A frame of N^2 rows of N^2 entries
+    sweep terminates when nothing is admitted or the element count reaches
+    its limit, fixed once the leaves are admitted: N^2 - 1 (su(N)) when their
+    frame rows leave out the centre direction i*I, since commutators are
+    traceless, else N^2.  A frame of N^2 rows of N^2 entries
     is refused with CapacityError above the dimension cap, before any
     buffer is allocated, and a generator whose norm overflows with
     MatrixPropertyError.  Deterministic for a fixed generator order.
@@ -282,21 +272,14 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
         out.generations.append(generation)
         return True
 
+    for g, el in enumerate(gens.elements):
+        admit(mats[g], Recipe("leaf", gen_id=el.id), 0, 0 if gen_keys is None else gen_keys[g])
+
+    # only a leaf can carry the centre z = i*I/sqrt(N); a commutator c has
+    # residual |c| |frame . z| to first order, and |c| <= 2 for unit b_i, b_j
     half = thresh / 2
     centre = (1j / np.sqrt(n_dim) * np.eye(n_dim)).reshape(-1).view(float)
-
-    def spanned() -> bool:
-        """Whether no commutator can join any more.
-
-        True once the frame fills the ambient algebra, or holds N^2 - 1 rows
-        that leave out only the centre direction z = i*I/sqrt(N): a
-        commutator c is traceless, orthogonal to z, so its residual is
-        |c| |frame . z| to first order, and |c| <= 2 for unit b_i, b_j.
-        """
-        k = out.dim
-        if k == cap - 1:
-            return 2 * np.linalg.norm(flat[:k] @ centre) <= half
-        return k >= cap
+    stop = cap - 1 if 2 * np.linalg.norm(flat[:out.dim] @ centre) <= half else cap
 
     if gen_keys is None:
         def candidates(j: int) -> list[int]:
@@ -318,19 +301,16 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
             for i in candidates(j):
                 yield i, j
 
-    for g, el in enumerate(gens.elements):
-        admit(mats[g], Recipe("leaf", gen_id=el.id), 0, 0 if gen_keys is None else gen_keys[g])
-
     frontier = list(range(out.dim))
     generation = 0
-    while frontier and not spanned():
+    while frontier and out.dim < stop:
         generation += 1
         admitted: list[int] = []
         for i, j in pairs(frontier):
             c = commutator(out.basis[i], out.basis[j])
             if admit(c, Recipe("comm", left=i, right=j), generation, keys[i] ^ keys[j]):
                 admitted.append(out.dim - 1)
-                if spanned():
+                if out.dim == stop:
                     break
         frontier = admitted
 
@@ -395,14 +375,15 @@ def build_family(label: str, n: int, l: int = 2) -> GeneratorSet:
     return family.build(n, l)
 
 
-def dimension_table(
-    max_n: int = 3,
-    families: tuple[str, ...] | None = None,
-    torus_cases: tuple[tuple[int, int], ...] = ((1, 3), (1, 4), (2, 3)),
-) -> list[dict]:
+# the (n, l) rows of every family whose l is not pinned to 2
+_TORUS_CASES = ((1, 3), (1, 4), (2, 3))
+
+
+def dimension_table(max_n: int = 3, families: tuple[str, ...] | None = None) -> list[dict]:
     """Closure dimensions per family against the predicted formulas.
 
-    Each row reports the computed dimension, the prediction, a match flag
+    The families with l pinned sweep n from 1 to max_n, the others take
+    _TORUS_CASES.  Each row reports the computed dimension, the prediction, a match flag
     and whether the closure spans the full traceless algebra.  A u(N)
     prediction matches a closure that spans su(N): commutators are
     traceless, so the closure plus the centre i*I is the u(N) count.
@@ -420,8 +401,7 @@ def dimension_table(
     rows = []
     cases: list[tuple[str, int, int]] = []
     for label, family in selected.items():
-        # a family with l pinned sweeps n, the others take the torus cases
-        grid = [(n, 2) for n in range(1, max_n + 1)] if family.pinned else torus_cases
+        grid = [(n, 2) for n in range(1, max_n + 1)] if family.pinned else _TORUS_CASES
         cases += [(label, n, l) for n, l in grid if n >= family.least["n"]]
     for label, n, l in cases:
         basis = closure(build_family(label, n, l))

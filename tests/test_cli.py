@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from liegates import lieclosure, linalg, symalg
+from liegates import cli, lieclosure, linalg, symalg
 from liegates.cli import build_parser, run
 from liegates.errors import FamilyMismatchError
 from liegates.generators import GeneratorSet, relation_report
@@ -102,6 +102,33 @@ def test_verify_self(capsys):
     data = json.loads(out)
     assert data["ok"]
     assert all(c["ok"] for c in data["checks"])
+
+
+def test_verify_exits_1_when_a_self_check_fails(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "span_dimension", lambda l, n: 0)
+    code, out, _ = run_json(capsys, ["verify", "--self", "--seed", "0"])
+    assert code == 1
+    # the document is still printed, naming the failed check
+    data = json.loads(out)
+    assert data["ok"] is False
+    assert [c["name"] for c in data["checks"] if not c["ok"]] == ["monomial_span"]
+
+
+def test_bare_verify_exits_2(capsys):
+    code, out, err = run_json(capsys, ["verify"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "usage"
+
+
+def test_compile_word_over_the_gate_cap_exits_2(capsys):
+    code, out, err = run_json(capsys, ["compile", "--family", "clifford_two_local", "--n", "2",
+                                       "--slices", str(10**9)])
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "validation"
+    assert "gates, above the cap" in error["message"]
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -21,6 +21,7 @@ from liegates.compiler import (
     merge_adjacent,
 )
 from liegates.errors import (
+    CapacityError,
     DepthExhaustedError,
     FamilyMismatchError,
     MatrixPropertyError,
@@ -259,6 +260,30 @@ def test_target_error_mode(two_local):
     seq = compile(u, gens, basis, CompileConfig(slices=1, target_error=1e-6))
     assert seq.report["target_error_met"]
     assert seq.report["phase_invariant_error"] <= 1e-6
+
+
+@pytest.mark.parametrize("merge", [False, True], ids=["unit", "merged"])
+def test_word_over_the_gate_cap_is_refused(two_local, merge):
+    # 10^9 slices of 61 gates: refused before the word, or its error, is formed
+    gens, basis = two_local
+    u = random_unitary(4, np.random.default_rng(0))
+    with pytest.raises(CapacityError, match="gates, above the cap"):
+        compile(u, gens, basis, CompileConfig(slices=10**9, merge=merge))
+
+
+def test_target_error_ladder_stops_below_the_gate_cap(two_local, monkeypatch):
+    gens, basis = two_local
+    u = random_unitary(4, np.random.default_rng(0))
+    per_slice = compile(u, gens, basis).report["gate_count"]
+    monkeypatch.setattr(compiler_mod, "_MAX_GATES", 4 * per_slice)
+    tried, compile_at = [], compiler_mod._compile_at
+    monkeypatch.setattr(compiler_mod, "_compile_at",
+                        lambda plan, slices: tried.append(slices) or compile_at(plan, slices))
+    # an unreachable target: the climb ends at the first word over the cap
+    report = compile(u, gens, basis, CompileConfig(target_error=1e-300)).report
+    assert tried == [1, 2, 4, 8]
+    assert not report["target_error_met"]
+    assert report["gate_count"] <= 4 * per_slice
 
 
 def test_target_analysed_once_per_call(two_local, monkeypatch):

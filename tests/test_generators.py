@@ -134,19 +134,11 @@ def test_gamma_u_variants():
     assert is_anti_hermitian(gu, tol=1e-12)
     assert max_abs(gu - 1j * tensor(SIGMA_X, np.eye(2))) <= 1e-12
     assert locality(gu, 2, 2) == 1
-    gu4 = gamma_u(2, variant="four")
-    assert is_anti_hermitian(gu4, tol=1e-12)
-    gu_custom = gamma_u(3, indices=(1, 2, 4))
-    assert is_anti_hermitian(gu_custom, tol=1e-12)
 
 
 def test_gamma_u_validation():
     with pytest.raises(ValueError):
         gamma_u(1)  # needs index 2
-    with pytest.raises(ValueError):
-        gamma_u(2, indices=(0, 0, 1))
-    with pytest.raises(ValueError):
-        gamma_u(2, variant="five")
 
 
 @pytest.mark.parametrize("n,l", [(1, 3), (2, 3), (2, 2)])
