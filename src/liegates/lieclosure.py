@@ -4,23 +4,25 @@ The closure engine runs a breadth-first commutator sweep: the generators
 form generation 0, then every newest element is commuted with every
 earlier basis element and the commutators that leave the current span
 join the basis.  Per newest element a filter picks the commutators worth
-deciding, and only those are recomputed and decided one at a time; the
-sweep stops as soon as the frame spans su(N).  On a set of scaled Pauli
-strings (the binary, l = 2, case: a Clifford algebra) the filter is exact
-bit arithmetic on the strings; any other set (the torus at l >= 3) has
-no such structure, and its commutators are projected on the frame in
-batches.  Both filters keep the same pairs on a Pauli set (see closure).
-Each element carries a recipe, a binary commutator tree over primitive
-generator ids plus one real scale, which the compiler later realises as
-a word: exact quarter-turn conjugations on a Pauli set, nested group
-commutators otherwise.
+deciding, and only those are formed and decided one at a time; the
+sweep stops as soon as the basis spans su(N).  On a set of scaled Pauli
+strings (the binary, l = 2, case: a Clifford algebra) the whole sweep is
+bit arithmetic on the strings: the filter, each commutator (N entries
+filled by index) and each admission (a key not yet held).  Any other set
+(the torus at l >= 3) has no such structure: its commutators are dense
+products, projected on the frame in batches to filter them and by a
+double Gram-Schmidt pass to admit them.  Each element carries a recipe,
+a binary commutator tree over primitive generator ids plus one real
+scale, which the compiler later realises as a word: exact quarter-turn
+conjugations on a Pauli set, nested group commutators otherwise.
 
 Every basis element is its own normalised tree value, so its recipe
 reproduces it up to rounding.  Span and rank decisions use an orthonormal
 frame with the same flag of subspaces; the basis itself is orthonormal
 exactly when the tree values are mutually orthogonal (all qubit families
 and the torus at (1, 3)), and membership solves for coordinates through
-the frame.
+the frame.  On a Pauli set the frame is the basis: distinct strings are
+exactly orthogonal, and the frame coordinates are the coefficients.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ class LieBasis:
     recipes[i] is a leaf in generation 0, else a commutator of two earlier
     elements, one of the generation before: the tree of element i has
     height generations[i], and scales and tree values take one forward pass.
+    On the Pauli path (pauli) basis[k] is a view of row k of the frame, one
+    (dim, N, N) stack, and no tri is stored: it reads as the identity.
     """
     matrix_dim: int
     generator_matrices: dict[str, Matrix]
@@ -71,7 +75,7 @@ class LieBasis:
     generations: list[int] = field(default_factory=list)
     # orthonormal frame with basis[m] = sum_k tri[k, m] * frame[k], k <= m
     frame: np.ndarray | None = None
-    tri: np.ndarray | None = None
+    _tri: np.ndarray | None = field(default=None, repr=False)
     pauli: bool = False  # closure took the Pauli path: every element a scaled Pauli string
     # compiler word templates of every element, built on the first compile
     _templates: object = field(default=None, init=False, repr=False, compare=False)
@@ -88,6 +92,15 @@ class LieBasis:
     def spans_su(self) -> bool:
         """Whether the closure fills the full traceless anti-Hermitian algebra."""
         return self.dim == self.dim_ambient - 1
+
+    @property
+    def tri(self) -> np.ndarray:
+        """Frame coordinates of the basis; when none are stored, the identity, built per read."""
+        return np.eye(self.dim) if self._tri is None else self._tri
+
+    @tri.setter
+    def tri(self, value: np.ndarray | None) -> None:
+        self._tri = value
 
     def stacked(self) -> np.ndarray:
         return np.stack(self.basis)
@@ -116,8 +129,8 @@ class LieBasis:
         for r in self.recipes:
             raw.append(self.generator_matrices[r.gen_id] if r.kind == "leaf"
                        else commutator(raw[r.left], raw[r.right]))
-        return max(frob_norm(v / scale - b)
-                   for v, scale, b in zip(raw, self.recipe_scales(), self.basis))
+        return max((frob_norm(v / scale - b)
+                    for v, scale, b in zip(raw, self.recipe_scales(), self.basis)), default=0.0)
 
 
 # commutator rows per stacked product in the dense candidate filter of closure
@@ -178,18 +191,16 @@ def _frame_candidates(basis: list[Matrix], j: int, frame: np.ndarray, half: floa
 def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
     """Breadth-first commutator closure of an anti-Hermitian generator set.
 
-    A generator g or commutator c = [b_i, b_j] whose residual against the
-    frame has Frobenius norm above tol * dim joins the basis as g/|g| or
-    c/|c|; its residual, after a double Gram-Schmidt pass, joins the
-    orthonormal frame, and its frame coordinates are recorded.  The basis
-    is orthonormal exactly when the tree values are mutually orthogonal
-    (all qubit families and the torus at (1, 3)).
+    A generator g or commutator c = [b_i, b_j] whose Frobenius norm is
+    above thresh = tol * N and which leaves the span joins the basis as
+    g/|g| or c/|c|.  The basis is orthonormal exactly when the tree values
+    are mutually orthogonal (all qubit families and the torus at (1, 3)).
 
     Per frontier element b_j, a filter picks the i < j worth deciding; the
-    picked commutators, in i order, are recomputed with commutator and
-    decided as above, so the result is that of deciding every pair in
-    turn.  The filter only drops pairs that admit would refuse now and at
-    any later point of the sweep, since the frame only grows:
+    picked commutators, in i order, are formed and decided one at a time,
+    so the result is that of deciding every pair in turn.  The filter only
+    drops pairs that would be refused now and at any later point of the
+    sweep, since the span only grows:
 
     * When every generator is exactly a scalar times a Pauli string
       X^x Z^z (every l = 2 family), every element is one, keyed by its
@@ -197,20 +208,29 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
       commute and twice their product string, keyed x_i ^ x_j, z_i ^ z_j,
       when they anticommute, that is when (x_i & z_j) ^ (z_i & x_j) has
       odd parity.  The filter keeps the anticommuting i whose product
-      key no admitted element holds.  LieBasis.pauli records this case.
+      key no admitted element holds; the commutator's N entries are
+      filled from the two keys and scalars, with the dense product's
+      floats.  Distinct strings are exactly orthogonal, so an element,
+      leaf or commutator, leaves the span exactly when no earlier element
+      holds its key; the frame is the basis stack itself, no Gram-Schmidt
+      runs and no tri is stored.  LieBasis.pauli records this case.
     * Otherwise the commutators [b_i, b_j] are formed in stacked blocks
       of at most 64 and projected on the frame in two matrix products;
-      one whose residual is at most thresh/2 is dropped.
+      one whose residual is at most thresh/2 is dropped.  A picked
+      commutator is formed densely and leaves the span when its residual,
+      after a double Gram-Schmidt pass, is above thresh; that residual
+      joins the orthonormal frame, and its frame coordinates are recorded
+      in tri.
 
-    For a Pauli set both filters keep the same pairs: a held product's
-    residual is at rounding level and a new one's is 2/sqrt(N).  The
-    sweep terminates when nothing is admitted or the element count reaches
-    its limit, fixed once the leaves are admitted: N^2 - 1 (su(N)) when their
-    frame rows leave out the centre direction i*I, since commutators are
-    traceless, else N^2.  A frame of N^2 rows of N^2 entries
-    is refused with CapacityError above the dimension cap, before any
-    buffer is allocated, and a generator whose norm overflows with
-    MatrixPropertyError.  Deterministic for a fixed generator order.
+    The sweep terminates when nothing is admitted or the element count
+    reaches its limit, fixed once the leaves are admitted: N^2 - 1 (su(N))
+    when their frame rows leave out the centre direction i*I, since
+    commutators are traceless, else N^2.  The frame grows in place, never
+    past that limit, and ends with one row per element.  A frame of N^2
+    rows of N^2 entries is refused with CapacityError above the dimension
+    cap, before any buffer is allocated, and a generator whose norm
+    overflows with MatrixPropertyError.  Deterministic for a fixed
+    generator order.
     """
     tol = DEFAULTS.closure_tol if tol is None else tol
     if not 0 < tol < math.inf:
@@ -227,12 +247,16 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
                 raise MatrixPropertyError(f"generator {el.id} has a norm that overflows")
     mats = np.stack([as_matrix(el.matrix) for el in gens.elements])
     gen_keys = _pauli_keys(mats)
+    pauli = gen_keys is not None
 
-    # frame rows, doubled when full; flat is its real view, where
-    # frob_inner(q, r) is a dot product of rows
+    # frame rows, grown in place when full; flat is its real view, where
+    # frob_inner(q, r) is a dot product of rows.  On a Pauli set two
+    # distinct strings are exactly orthogonal, so the frame is the basis
+    # itself and basis[k] a view of row k; otherwise the rows are
+    # Gram-Schmidt residuals
     buf = np.empty((len(mats), n_dim, n_dim), dtype=complex)
     flat = buf.reshape(len(buf), -1).view(float)
-    cols: list[np.ndarray] = []   # frame coordinates of each element
+    cols: list[np.ndarray] = []   # frame coordinates of each element, dense engine
     # Pauli key of each element and whether an element holds a key; unused
     # (all keys 0) for any other set.  The leaves alone may pass N^2
     # elements under a rounding-level tol
@@ -241,39 +265,50 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
     out = LieBasis(
         matrix_dim=n_dim,
         generator_matrices={el.id: el.matrix for el in gens.elements},
-        pauli=gen_keys is not None,
+        pauli=pauli,
     )
 
     def admit(c: Matrix, recipe: Recipe, generation: int, key: int) -> bool:
         """Add c/|c| if c leaves the span; the recipe's scale is set here."""
-        nonlocal buf, flat
+        nonlocal flat
         k = out.dim
         norm_c = frob_norm(c)
         if norm_c <= thresh:
             return False
-        r, coeffs = c, np.zeros(k)
-        for _ in range(2):
-            step = flat[:k] @ r.reshape(-1).view(float)
-            r = r - (step @ flat[:k]).view(complex).reshape(c.shape)
-            coeffs += step
-        norm_r = frob_norm(r)
-        if norm_r <= thresh:
-            return False
-        b = c / norm_c
         if k == len(buf):
-            buf = np.resize(buf, (2 * k, n_dim, n_dim))
-            flat = buf.reshape(2 * k, -1).view(float)
-        buf[k] = r / norm_r
-        cols.append(np.append(coeffs, norm_r) / norm_c)
-        keys[k] = key
-        held[key] = True
+            # realloc, without a copy of the rows; flat and the basis views
+            # are re-pointed before they are read again.  The sweep admits
+            # at most N^2 elements once the leaves are in
+            buf.resize((min(2 * k, cap), n_dim, n_dim), refcheck=False)
+            flat = buf.reshape(len(buf), -1).view(float)
+            if pauli:
+                out.basis[:] = buf[:k]
+        if pauli:
+            # c leaves the span of the held strings exactly when its key is new
+            if held[key]:
+                return False
+            keys[k] = key
+            held[key] = True
+            b = np.divide(c, norm_c, out=buf[k])
+        else:
+            r, coeffs = c, np.zeros(k)
+            for _ in range(2):
+                step = flat[:k] @ r.reshape(-1).view(float)
+                r = r - (step @ flat[:k]).view(complex).reshape(c.shape)
+                coeffs += step
+            norm_r = frob_norm(r)
+            if norm_r <= thresh:
+                return False
+            b = c / norm_c
+            buf[k] = r / norm_r
+            cols.append(np.append(coeffs, norm_r) / norm_c)
         out.basis.append(b)
         out.recipes.append(replace(recipe, coeff=frob_inner(b, c)))
         out.generations.append(generation)
         return True
 
     for g, el in enumerate(gens.elements):
-        admit(mats[g], Recipe("leaf", gen_id=el.id), 0, 0 if gen_keys is None else gen_keys[g])
+        admit(mats[g], Recipe("leaf", gen_id=el.id), 0, gen_keys[g] if pauli else 0)
 
     # only a leaf can carry the centre z = i*I/sqrt(N); a commutator c has
     # residual |c| |frame . z| to first order, and |c| <= 2 for unit b_i, b_j
@@ -281,12 +316,18 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
     centre = (1j / np.sqrt(n_dim) * np.eye(n_dim)).reshape(-1).view(float)
     stop = cap - 1 if 2 * np.linalg.norm(flat[:out.dim] @ centre) <= half else cap
 
-    if gen_keys is None:
+    if not pauli:
         def candidates(j: int) -> list[int]:
             return _frame_candidates(out.basis, j, flat[:out.dim], half)
+
+        def bracket(i: int, j: int) -> Matrix:
+            return commutator(out.basis[i], out.basis[j])
     else:
         n = n_dim.bit_length() - 1
         odd = _parity(np.arange(cap), 2 * n).astype(bool)
+        col = np.arange(n_dim)
+        # row z: (-1)^(z.c) over the columns c
+        walsh = 1.0 - 2 * _parity(col[:, None] & col, n)
 
         def candidates(j: int) -> list[int]:
             kj = int(keys[j])
@@ -294,6 +335,17 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
             swapped = ((kj & (n_dim - 1)) << n) | (kj >> n)
             earlier = keys[:j]
             return np.flatnonzero(odd[earlier & swapped] & ~held[earlier ^ kj]).tolist()
+
+        def bracket(i: int, j: int) -> Matrix:
+            # b = s X^x Z^z holds s at (x, 0); for anticommuting strings
+            # [b_i, b_j] = 2 b_i b_j = 2 s_i s_j (-1)^(z_i.x_j) X^(x_i^x_j) Z^(z_i^z_j).
+            # + 0.0 clears the zero signs, which the dense product never sets
+            xi, zi = divmod(int(keys[i]), n_dim)
+            xj, zj = divmod(int(keys[j]), n_dim)
+            s = 2 * buf[i, xi, 0] * buf[j, xj, 0] * (-1.0 if odd[zi & xj] else 1.0)
+            c = np.zeros((n_dim, n_dim), dtype=complex)
+            c[col ^ xi ^ xj, col] = s * walsh[zi ^ zj] + 0.0
+            return c
 
     def pairs(frontier: list[int]):
         # candidates(j) runs when the sweep reaches j, against the frame then
@@ -307,17 +359,21 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
         generation += 1
         admitted: list[int] = []
         for i, j in pairs(frontier):
-            c = commutator(out.basis[i], out.basis[j])
-            if admit(c, Recipe("comm", left=i, right=j), generation, keys[i] ^ keys[j]):
+            recipe = Recipe("comm", left=i, right=j)
+            if admit(bracket(i, j), recipe, generation, keys[i] ^ keys[j]):
                 admitted.append(out.dim - 1)
                 if out.dim == stop:
                     break
         frontier = admitted
 
-    out.frame = buf[:out.dim].copy()
+    buf.resize((out.dim, n_dim, n_dim), refcheck=False)
+    out.frame = buf
+    if pauli:
+        out.basis[:] = buf
+        return out
     out.tri = np.zeros((out.dim, out.dim))
-    for m, col in enumerate(cols):
-        out.tri[:m + 1, m] = col
+    for m, coords in enumerate(cols):
+        out.tri[:m + 1, m] = coords
     return out
 
 
@@ -327,7 +383,8 @@ def membership(a, basis: LieBasis) -> MembershipResult:
     The matrix is projected onto the orthonormal frame; it is a member when
     the off-span residual is at most DEFAULTS.membership_tol times its
     norm.  Coefficients in the basis follow from the triangular frame
-    coordinates.
+    coordinates tri; with no tri stored (the Pauli path) the frame is the
+    basis and the projections are the coefficients.
     """
     m = as_matrix(a)
     if m.shape[0] != basis.matrix_dim:
@@ -341,7 +398,7 @@ def membership(a, basis: LieBasis) -> MembershipResult:
         return MembershipResult(res == 0.0, np.zeros(0), res)
     proj = np.einsum("kij,ij->k", basis.frame.conj(), m).real
     residual = frob_norm(m - np.tensordot(proj, basis.frame, axes=1))
-    coeffs = np.linalg.solve(basis.tri, proj)
+    coeffs = proj if basis._tri is None else np.linalg.solve(basis._tri, proj)
     norm = frob_norm(m)
     return MembershipResult(residual <= DEFAULTS.membership_tol * max(norm, 1e-300), coeffs,
                             residual)

@@ -473,6 +473,17 @@ def test_closure_include_basis(capsys):
     assert len(data["basis"][0]) == 2
 
 
+def test_closure_with_every_generator_refused(capsys):
+    # tol * N = 2e9 is above every generator's norm: an empty closure
+    code, out, _ = run_json(capsys, ["closure", "--family", "clifford_full", "--n", "1",
+                                     "--tol", "1e9", "--include-basis"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["dim"] == 0
+    assert data["recipes"] == data["generations"] == data["basis"] == []
+    assert data["max_recipe_residual"] == 0.0
+
+
 def test_byte_identical_reruns(capsys):
     for argv in (
         ["closure", "--family", "torus_splits", "--n", "1", "--l", "3"],

@@ -404,6 +404,9 @@ ORACLE_CASES = [(f"{label}-{n}-{l}", partial(build_family, label, n, l), None)
                 for label, n, l in TABLE_ROWS] + [
     ("clifford_plus_u-2-2-with-centre", lambda: _with_centre(clifford_plus_u(2)), None),
     ("clifford_plus_u-2-2-tol-1e-3", lambda: clifford_plus_u(2), 1e-3),
+    # tol * N = 1.5 lies between the commutator norm 2/sqrt(N) = 1 and the
+    # leaf norms 2: every leaf is admitted and every commutator refused
+    ("clifford_plus_u-2-2-tol-0.375", lambda: clifford_plus_u(2), 0.375),
     ("torus_splits-2-3-tol-1e-3", lambda: torus_split_set(2, 3), 1e-3),
     ("so3", _so3, None),
     # the l = 2 torus sets are exact Pauli sets: the bit filter against the oracle
@@ -434,8 +437,20 @@ def test_batched_sweep_matches_all_pairs_reference(make, tol):
 def _assert_same_closure(got, want):
     assert got.dim == want.dim
     assert all(np.array_equal(x, y) for x, y in zip(got.basis, want.basis))
-    assert np.array_equal(got.frame, want.frame)
-    assert np.array_equal(got.tri, want.tri)
+    if got.pauli:
+        # rows filled from the string keys carry the dense product's zero
+        # signs too; each element is a view of its frame row
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got.basis, want.basis))
+        assert all(np.shares_memory(b, got.frame) for b in got.basis)
+        # the frame is the basis stack and tri the identity; the reference's
+        # Gram-Schmidt leaves rounding off them at odd n
+        assert got.frame.tobytes() == got.stacked().tobytes()
+        assert np.array_equal(got.tri, np.eye(got.dim))
+        assert np.max(np.abs(got.frame - want.frame), initial=0.0) <= 1e-16
+        assert np.max(np.abs(got.tri - want.tri), initial=0.0) <= 1e-16
+    else:
+        assert np.array_equal(got.frame, want.frame)
+        assert np.array_equal(got.tri, want.tri)
     assert got.recipes == want.recipes
     assert all(type(r.left) is type(s.left) for r, s in zip(got.recipes, want.recipes))
     assert got.generations == want.generations
@@ -461,6 +476,46 @@ def test_exact_commutators_bounded_by_admissions(monkeypatch):
     admitted = basis.dim - basis.generations.count(0)
     assert admitted == 56
     assert len(calls) <= 2 * admitted
+
+
+def _closure_counting_commutators(monkeypatch, gens):
+    calls = []
+    orig = lieclosure_mod.commutator
+
+    def counting(a, b):
+        calls.append(1)
+        return orig(a, b)
+
+    monkeypatch.setattr(lieclosure_mod, "commutator", counting)
+    return closure(gens), len(calls)
+
+
+def test_pauli_path_forms_no_dense_commutator(monkeypatch):
+    # a Pauli set's commutators are filled from the two string keys
+    basis, calls = _closure_counting_commutators(monkeypatch, clifford_plus_u(3))
+    assert basis.pauli and basis.spans_su
+    assert calls == 0
+
+
+def test_dense_filter_bounded_by_admissions(monkeypatch):
+    # torus (2, 3) has no string structure: its commutators are formed densely
+    basis, calls = _closure_counting_commutators(monkeypatch, torus_split_set(2, 3))
+    admitted = basis.dim - basis.generations.count(0)
+    assert not basis.pauli and admitted == 72
+    assert calls <= 2 * admitted
+
+
+def test_su64_closure_holds_one_basis_stack():
+    # 4095 elements of 64 KB: the stack is 268 MB, and nothing else of its size is held
+    gens = build_family("clifford_two_local", 6, 2)
+    tracemalloc.start()
+    try:
+        basis = closure(gens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis.pauli and basis.dim == 4095 and basis.spans_su
+    assert peak < 400e6
 
 
 # ---------------------------------------------------------------------------
