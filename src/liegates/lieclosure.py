@@ -3,18 +3,19 @@
 The closure engine runs a breadth-first commutator sweep: the generators
 form generation 0, then every newest element is commuted with every
 earlier basis element and the commutators that leave the current span
-join the basis.  Per newest element a filter picks the commutators worth
-deciding, and only those are formed and decided one at a time; the
-sweep stops as soon as the basis spans su(N).  On a set of scaled Pauli
-strings (the binary, l = 2, case: a Clifford algebra) the whole sweep is
-bit arithmetic on the strings: the filter, each commutator (N entries
-filled by index) and each admission (a key not yet held).  Any other set
-(the torus at l >= 3) has no such structure: its commutators are dense
-products, projected on the frame in batches to filter them and by a
-double Gram-Schmidt pass to admit them.  Each element carries a recipe,
-a binary commutator tree over primitive generator ids plus one real
-scale, which the compiler later realises as a word: exact quarter-turn
-conjugations on a Pauli set, nested group commutators otherwise.
+join the basis; the sweep stops as soon as the basis spans su(N).  On a
+set of scaled Pauli strings (the binary, l = 2, case: a Clifford algebra)
+the sweep is bit arithmetic on the strings, a generation at a time: one
+numpy pass over a chunk of the generation's pairs picks the commutators
+whose string no element holds, and they are filled into the frame by
+index (N entries each) and admitted together.  Any other set (the torus
+at l >= 3) has no such structure: per newest element its commutators are
+dense products, projected on the frame in batches to filter them, and
+the ones kept are decided one at a time by a double Gram-Schmidt pass.
+Each element carries a recipe, a binary commutator tree over primitive
+generator ids plus one real scale, which the compiler later realises as
+a word: exact quarter-turn conjugations on a Pauli set, nested group
+commutators otherwise.
 
 Every basis element is its own normalised tree value, so its recipe
 reproduces it up to rounding.  Span and rank decisions use an orthonormal
@@ -28,15 +29,15 @@ exactly orthogonal, and the frame coordinates are the coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .config import DEFAULTS
 from .errors import DimensionMismatchError, MatrixPropertyError, ParameterMismatchError
 from .generators import FAMILIES as _BUILDERS, GeneratorSet, clifford_gammas
-from .linalg import (Matrix, as_matrix, check_capacity, commutator, frob_inner, frob_norm,
-                     is_anti_hermitian)
+from .linalg import Matrix, as_matrix, check_capacity, commutator, frob_norm, is_anti_hermitian
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,9 @@ class LieBasis:
     recipes[i] is a leaf in generation 0, else a commutator of two earlier
     elements, one of the generation before: the tree of element i has
     height generations[i], and scales and tree values take one forward pass.
-    On the Pauli path (pauli) basis[k] is a view of row k of the frame, one
-    (dim, N, N) stack, and no tri is stored: it reads as the identity.
+    On the Pauli path keys[k] is the string key (x << n) | z of element k,
+    basis[k] is a view of row k of the frame, one (dim, N, N) stack, and no
+    tri is stored: it reads as the identity.
     """
     matrix_dim: int
     generator_matrices: dict[str, Matrix]
@@ -76,7 +78,8 @@ class LieBasis:
     # orthonormal frame with basis[m] = sum_k tri[k, m] * frame[k], k <= m
     frame: np.ndarray | None = None
     _tri: np.ndarray | None = field(default=None, repr=False)
-    pauli: bool = False  # closure took the Pauli path: every element a scaled Pauli string
+    # Pauli string key of each element, when every element is a scaled Pauli string
+    keys: np.ndarray | None = None
     # compiler word templates of every element, built on the first compile
     _templates: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -92,6 +95,11 @@ class LieBasis:
     def spans_su(self) -> bool:
         """Whether the closure fills the full traceless anti-Hermitian algebra."""
         return self.dim == self.dim_ambient - 1
+
+    @property
+    def pauli(self) -> bool:
+        """Whether closure took the Pauli path: every element a scaled Pauli string."""
+        return self.keys is not None
 
     @property
     def tri(self) -> np.ndarray:
@@ -124,17 +132,57 @@ class LieBasis:
         return scales
 
     def max_recipe_residual(self) -> float:
-        """Largest |tree value / scale - basis element|_F, the recipe fidelity."""
-        raw: list[Matrix] = []
-        for r in self.recipes:
-            raw.append(self.generator_matrices[r.gen_id] if r.kind == "leaf"
-                       else commutator(raw[r.left], raw[r.right]))
-        return max((frob_norm(v / scale - b)
-                    for v, scale, b in zip(raw, self.recipe_scales(), self.basis)), default=0.0)
+        """Largest |tree value / scale - basis element|_F, the recipe fidelity.
+
+        On a Pauli basis each tree value is a scaled string whose scalar,
+        r = 2 r_left r_right (-1)^(z_left.x_right), is the dense product's
+        entry at (x, 0), so tree value / scale - basis element is the string
+        times r / scale - b[x, 0]; only a nonzero difference is filled out
+        to take its norm, which is then the dense one bit for bit.
+        """
+        scales = self.recipe_scales()
+        if self.keys is None:
+            raw: list[Matrix] = []
+            for r in self.recipes:
+                raw.append(self.generator_matrices[r.gen_id] if r.kind == "leaf"
+                           else commutator(raw[r.left], raw[r.right]))
+            return max((frob_norm(v / scale - b)
+                        for v, scale, b in zip(raw, scales, self.basis)), default=0.0)
+        n_dim = self.matrix_dim
+        n = n_dim.bit_length() - 1
+        x, z = np.divmod(self.keys, n_dim)
+        xs, zs = x.tolist(), z.tolist()
+        tree: list[complex] = []
+        quotients = []
+        for r, xk, scale in zip(self.recipes, xs, scales):
+            if r.kind == "leaf":
+                # in the generator's own dtype, as the dense value is divided
+                v = np.asarray(self.generator_matrices[r.gen_id])[xk, :1]
+            else:
+                odd = bin(zs[r.left] & xs[r.right]).count("1") & 1
+                v = np.array([2 * tree[r.left] * tree[r.right] * (-1.0 if odd else 1.0)])
+            tree.append(complex(v[0]))
+            quotients.append((v / scale)[0])
+        diff = np.array(quotients, dtype=complex) - self.frame[np.arange(self.dim), x, 0]
+        col = np.arange(n_dim)
+        walsh = 1.0 - 2 * _parity(col[:, None] & col, n)
+        worst = 0.0
+        for k in np.flatnonzero(diff):
+            m = np.zeros((n_dim, n_dim), dtype=complex)
+            m[col ^ x[k], col] = diff[k] * walsh[z[k]]
+            worst = max(worst, frob_norm(m))
+        return worst
 
 
 # commutator rows per stacked product in the dense candidate filter of closure
 _BLOCK = 64
+# bytes of frame rows the Pauli sweep normalises at once: a block this size
+# stays in cache through its four passes (su(64): 4 rows, su(16): 64)
+_ROW_BYTES = 1 << 18
+# pairs (i, j) a Pauli sweep weighs in one numpy pass: 8 int64 arrays of
+# this length, 2 MB; a frontier element with more earlier elements is a
+# pass of its own
+_PAIRS = 1 << 15
 
 
 def _parity(a: np.ndarray, width: int) -> np.ndarray:
@@ -188,6 +236,28 @@ def _frame_candidates(basis: list[Matrix], j: int, frame: np.ndarray, half: floa
     return keep
 
 
+def _bracket(a: Matrix, b: Matrix) -> Matrix:
+    """[a, b] of two elements the dense sweep built itself, so unvalidated."""
+    return a @ b - b @ a
+
+
+def _inner(a: Matrix, b: Matrix) -> float:
+    """frob_inner of two matrices the closure holds, unvalidated."""
+    return float(np.real(np.sum(a.conj() * b)))
+
+
+def _last_count(rows: np.ndarray, n_dim: int, half: float) -> int:
+    """Element count at which the sweep stops, from the leaves' frame rows (real view).
+
+    Only a leaf can carry the centre z = i*I/sqrt(N); a commutator c has
+    residual |c| |frame . z| to first order, and |c| <= 2 for unit b_i, b_j.
+    So N^2 - 1 (su(N)) when the rows leave out z, else N^2.
+    """
+    centre = (1j / np.sqrt(n_dim) * np.eye(n_dim)).reshape(-1).view(float)
+    cap = n_dim * n_dim
+    return cap - 1 if 2 * np.linalg.norm(rows @ centre) <= half else cap
+
+
 def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
     """Breadth-first commutator closure of an anti-Hermitian generator set.
 
@@ -195,32 +265,35 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
     above thresh = tol * N and which leaves the span joins the basis as
     g/|g| or c/|c|.  The basis is orthonormal exactly when the tree values
     are mutually orthogonal (all qubit families and the torus at (1, 3)).
-
-    Per frontier element b_j, a filter picks the i < j worth deciding; the
-    picked commutators, in i order, are formed and decided one at a time,
-    so the result is that of deciding every pair in turn.  The filter only
-    drops pairs that would be refused now and at any later point of the
-    sweep, since the span only grows:
+    The result is that of deciding every pair i < j, j in the frontier,
+    in (j, i) order; the span only grows, so a pair refused once would be
+    refused at any later point of the sweep, and each engine skips such
+    pairs without deciding them:
 
     * When every generator is exactly a scalar times a Pauli string
       X^x Z^z (every l = 2 family), every element is one, keyed by its
       bits (x, z): a commutator of two strings is exactly 0 when they
       commute and twice their product string, keyed x_i ^ x_j, z_i ^ z_j,
       when they anticommute, that is when (x_i & z_j) ^ (z_i & x_j) has
-      odd parity.  The filter keeps the anticommuting i whose product
-      key no admitted element holds; the commutator's N entries are
-      filled from the two keys and scalars, with the dense product's
-      floats.  Distinct strings are exactly orthogonal, so an element,
-      leaf or commutator, leaves the span exactly when no earlier element
-      holds its key; the frame is the basis stack itself, no Gram-Schmidt
-      runs and no tri is stored.  LieBasis.pauli records this case.
-    * Otherwise the commutators [b_i, b_j] are formed in stacked blocks
-      of at most 64 and projected on the frame in two matrix products;
-      one whose residual is at most thresh/2 is dropped.  A picked
-      commutator is formed densely and leaves the span when its residual,
-      after a double Gram-Schmidt pass, is above thresh; that residual
-      joins the orthonormal frame, and its frame coordinates are recorded
-      in tri.
+      odd parity.  Distinct strings are exactly orthogonal, so an element
+      leaves the span exactly when no earlier element holds its key.  A
+      generation is decided at once, over chunks of the frontier of at
+      most _PAIRS pairs: one numpy pass over the chunk's pairs keeps the
+      anticommuting ones whose product key no element holds and, per
+      key, the first such pair in (j, i) order.  Its commutator's N
+      entries are filled into the frame by index from the two keys and
+      scalars, with the dense product's floats, and it is admitted when
+      its norm is above thresh; when it is not, the key's next pair is
+      tried, as the pair-by-pair sweep would.  The frame is the basis
+      stack itself, no Gram-Schmidt runs and no tri is stored;
+      LieBasis.keys holds each element's key.
+    * Otherwise, per frontier element b_j, the commutators [b_i, b_j]
+      are formed in stacked blocks of at most 64 and projected on the
+      frame in two matrix products, and one whose residual is at most
+      thresh/2 is dropped.  The others, in i order, are formed densely
+      one at a time, and each leaves the span when its residual, after a
+      double Gram-Schmidt pass, is above thresh; that residual joins the
+      orthonormal frame, and its frame coordinates are recorded in tri.
 
     The sweep terminates when nothing is admitted or the element count
     reaches its limit, fixed once the leaves are admitted: N^2 - 1 (su(N))
@@ -237,8 +310,6 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
         raise ValueError(f"closure tol must be finite and positive, got {tol}")
     n_dim = gens.dim
     check_capacity(n_dim, 2)
-    thresh = tol * n_dim
-    cap = n_dim * n_dim
     for el in gens.elements:
         if not is_anti_hermitian(el.matrix):
             raise MatrixPropertyError(f"generator {el.id} is not anti-Hermitian")
@@ -246,111 +317,186 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
             if not math.isfinite(frob_norm(el.matrix)):
                 raise MatrixPropertyError(f"generator {el.id} has a norm that overflows")
     mats = np.stack([as_matrix(el.matrix) for el in gens.elements])
-    gen_keys = _pauli_keys(mats)
-    pauli = gen_keys is not None
+    out = LieBasis(matrix_dim=n_dim,
+                   generator_matrices={el.id: el.matrix for el in gens.elements})
+    ids = [el.id for el in gens.elements]
+    keys = _pauli_keys(mats)
+    if keys is None:
+        _dense_sweep(out, ids, mats, tol * n_dim)
+    else:
+        _pauli_sweep(out, ids, mats, keys, tol * n_dim)
+    return out
 
+
+def _pauli_sweep(out: LieBasis, ids: list[str], mats: np.ndarray, gen_keys: np.ndarray,
+                 thresh: float) -> None:
+    """closure's sweep on a Pauli set, recorded in out; gen_keys from _pauli_keys."""
+    n_dim = out.matrix_dim
+    n = n_dim.bit_length() - 1
+    cap = n_dim * n_dim
+    # the frame, which is the basis stack, grown in place when full; the
+    # key of each element, and whether an element holds a key
+    buf = np.empty((len(mats), n_dim, n_dim), dtype=complex)
+    keys = np.empty(cap, dtype=np.int64)
+    held = np.zeros(cap, dtype=bool)
+    k = 0
+    for gid, m, key in zip(ids, mats, gen_keys.tolist()):
+        norm = frob_norm(m)
+        if norm > thresh and not held[key]:
+            held[key] = True
+            keys[k] = key
+            b = np.divide(m, norm, out=buf[k])
+            out.recipes.append(Recipe("leaf", gid, coeff=_inner(b, m)))
+            k += 1
+    out.generations = [0] * k
+    stop = _last_count(buf.reshape(len(buf), -1).view(float)[:k], n_dim, thresh / 2)
+
+    odd = _parity(np.arange(cap), 2 * n).astype(bool)
+    col = np.arange(n_dim)
+    # row z: (-1)^(z.c) over the columns c
+    walsh = 1.0 - 2 * _parity(col[:, None] & col, n)
+    step = max(1, _ROW_BYTES // (buf.itemsize * cap))   # rows normalised at once
+
+    def fill(i: np.ndarray, j: np.ndarray, base: int) -> np.ndarray:
+        """[b_i, b_j] of anticommuting pairs, written to the frame rows from base on."""
+        if base + len(i) > len(buf):
+            # realloc, without a copy of the rows; the basis views are
+            # taken once the sweep ends
+            buf.resize((min(max(2 * len(buf), base + len(i)), cap), n_dim, n_dim),
+                       refcheck=False)
+        xi, zi = np.divmod(keys[i], n_dim)
+        xj, zj = np.divmod(keys[j], n_dim)
+        # b = s X^x Z^z holds s at (x, 0); for anticommuting strings
+        # [b_i, b_j] = 2 b_i b_j = 2 s_i s_j (-1)^(z_i.x_j) X^(x_i^x_j) Z^(z_i^z_j),
+        # s in complex scalar arithmetic, as the dense product forms it
+        s = [2 * si * sj * (-1.0 if o else 1.0) for si, sj, o in
+             zip(buf[i, xi, 0].tolist(), buf[j, xj, 0].tolist(), odd[zi & xj].tolist())]
+        rows = buf[base:base + len(i)]
+        rows[...] = 0
+        # + 0.0 clears the zero signs, which the dense product never sets
+        rows[np.arange(len(i))[:, None], col ^ (xi ^ xj)[:, None], col] = (
+            np.array(s)[:, None] * walsh[zi ^ zj] + 0.0)
+        return rows
+
+    def admit(js: np.ndarray, generation: int) -> None:
+        """Decide every pair (i, j), i < j, j in js, in (j, i) order; admissions join at k."""
+        nonlocal k
+        jj = np.repeat(js, js)
+        ii = np.arange(len(jj)) - np.repeat(np.cumsum(js) - js, js)
+        ki, kj = keys[ii], keys[jj]
+        # (x_i & z_j) ^ (z_i & x_j), packed: key i against key j with halves swapped
+        swapped = ((kj & (n_dim - 1)) << n) | (kj >> n)
+        prod = ki ^ kj
+        pending = np.flatnonzero(odd[ki & swapped] & ~held[prod])
+        # try the first pending pair of each key; one whose commutator is
+        # too short hands its key to the key's next pair
+        taken, norms = [np.empty(0, np.intp)], [np.empty(0)]
+        while pending.size:
+            _, first = np.unique(prod[pending], return_index=True)
+            first.sort()
+            tried = pending[first]
+            rows = fill(ii[tried], jj[tried], k + sum(map(len, taken)))
+            tried_norms = np.array([frob_norm(r) for r in rows])
+            ok = tried_norms > thresh
+            taken.append(tried[ok])
+            norms.append(tried_norms[ok])
+            if ok.all():
+                break
+            rows[:np.count_nonzero(ok)] = rows[ok]
+            retry = np.isin(prod[pending], prod[tried[~ok]])
+            retry[first] = False
+            pending = pending[retry]
+        pos, norm = np.concatenate(taken), np.concatenate(norms)
+        if len(taken) > 2:
+            # rows went in by round; admissions go in (j, i) order
+            order = np.argsort(pos)
+            buf[k:k + len(pos)] = buf[k + order]
+            pos, norm = pos[order], norm[order]
+        # the sweep stops at the last element count
+        pos, norm = pos[:stop - k], norm[:stop - k]
+        coeffs = np.empty(len(pos))
+        for r in range(0, len(pos), step):
+            c = buf[k + r:k + min(r + step, len(pos))]
+            b = c / norm[r:r + len(c), None, None]
+            # frob_inner(b, c) of each row, then b replaces c
+            coeffs[r:r + len(c)] = (b.conj() * c).reshape(len(c), -1).sum(axis=1).real
+            c[...] = b
+        keys[k:k + len(pos)] = prod[pos]
+        held[prod[pos]] = True
+        out.recipes += map(partial(Recipe, "comm", None), ii[pos].tolist(), jj[pos].tolist(),
+                           coeffs.tolist())
+        out.generations += [generation] * len(pos)
+        k += len(pos)
+
+    frontier = np.arange(k)
+    generation = 0
+    while frontier.size and k < stop:
+        generation += 1
+        start = k
+        # pairs up to and including each frontier element; a chunk holds at
+        # most _PAIRS of them, or one frontier element
+        ends = np.cumsum(frontier)
+        lo = 0
+        while lo < frontier.size and k < stop:
+            hi = max(int(np.searchsorted(ends, ends[lo] - frontier[lo] + _PAIRS, "right")),
+                     lo + 1)
+            admit(frontier[lo:hi], generation)
+            lo = hi
+        frontier = np.arange(start, k)
+
+    buf.resize((k, n_dim, n_dim), refcheck=False)
+    out.frame = buf
+    out.basis = list(buf)
+    out.keys = keys[:k].copy()
+
+
+def _dense_sweep(out: LieBasis, ids: list[str], mats: np.ndarray, thresh: float) -> None:
+    """closure's sweep on any set that is not a Pauli set, recorded in out."""
+    n_dim = out.matrix_dim
+    cap = n_dim * n_dim
     # frame rows, grown in place when full; flat is its real view, where
-    # frob_inner(q, r) is a dot product of rows.  On a Pauli set two
-    # distinct strings are exactly orthogonal, so the frame is the basis
-    # itself and basis[k] a view of row k; otherwise the rows are
-    # Gram-Schmidt residuals
+    # frob_inner(q, r) is a dot product of rows
     buf = np.empty((len(mats), n_dim, n_dim), dtype=complex)
     flat = buf.reshape(len(buf), -1).view(float)
-    cols: list[np.ndarray] = []   # frame coordinates of each element, dense engine
-    # Pauli key of each element and whether an element holds a key; unused
-    # (all keys 0) for any other set.  The leaves alone may pass N^2
-    # elements under a rounding-level tol
-    keys = np.zeros(max(cap, len(mats)), dtype=np.int64)
-    held = np.zeros(cap, dtype=bool)
-    out = LieBasis(
-        matrix_dim=n_dim,
-        generator_matrices={el.id: el.matrix for el in gens.elements},
-        pauli=pauli,
-    )
+    cols: list[np.ndarray] = []   # frame coordinates of each element
 
-    def admit(c: Matrix, recipe: Recipe, generation: int, key: int) -> bool:
-        """Add c/|c| if c leaves the span; the recipe's scale is set here."""
+    def admit(c: Matrix, generation: int, *recipe) -> bool:
+        """Add c/|c| if c leaves the span; recipe is (kind, gen_id, left, right)."""
         nonlocal flat
         k = out.dim
         norm_c = frob_norm(c)
         if norm_c <= thresh:
             return False
         if k == len(buf):
-            # realloc, without a copy of the rows; flat and the basis views
-            # are re-pointed before they are read again.  The sweep admits
-            # at most N^2 elements once the leaves are in
+            # realloc, without a copy of the rows; flat is re-pointed.  The
+            # sweep admits at most N^2 elements once the leaves are in
             buf.resize((min(2 * k, cap), n_dim, n_dim), refcheck=False)
             flat = buf.reshape(len(buf), -1).view(float)
-            if pauli:
-                out.basis[:] = buf[:k]
-        if pauli:
-            # c leaves the span of the held strings exactly when its key is new
-            if held[key]:
-                return False
-            keys[k] = key
-            held[key] = True
-            b = np.divide(c, norm_c, out=buf[k])
-        else:
-            r, coeffs = c, np.zeros(k)
-            for _ in range(2):
-                step = flat[:k] @ r.reshape(-1).view(float)
-                r = r - (step @ flat[:k]).view(complex).reshape(c.shape)
-                coeffs += step
-            norm_r = frob_norm(r)
-            if norm_r <= thresh:
-                return False
-            b = c / norm_c
-            buf[k] = r / norm_r
-            cols.append(np.append(coeffs, norm_r) / norm_c)
+        r, coeffs = c, np.zeros(k)
+        for _ in range(2):
+            step = flat[:k] @ r.reshape(-1).view(float)
+            r = r - (step @ flat[:k]).view(complex).reshape(c.shape)
+            coeffs += step
+        norm_r = frob_norm(r)
+        if norm_r <= thresh:
+            return False
+        b = c / norm_c
+        buf[k] = r / norm_r
+        cols.append(np.append(coeffs, norm_r) / norm_c)
         out.basis.append(b)
-        out.recipes.append(replace(recipe, coeff=frob_inner(b, c)))
+        out.recipes.append(Recipe(*recipe, _inner(b, c)))
         out.generations.append(generation)
         return True
 
-    for g, el in enumerate(gens.elements):
-        admit(mats[g], Recipe("leaf", gen_id=el.id), 0, gen_keys[g] if pauli else 0)
-
-    # only a leaf can carry the centre z = i*I/sqrt(N); a commutator c has
-    # residual |c| |frame . z| to first order, and |c| <= 2 for unit b_i, b_j
+    for gid, m in zip(ids, mats):
+        admit(m, 0, "leaf", gid, None, None)
     half = thresh / 2
-    centre = (1j / np.sqrt(n_dim) * np.eye(n_dim)).reshape(-1).view(float)
-    stop = cap - 1 if 2 * np.linalg.norm(flat[:out.dim] @ centre) <= half else cap
-
-    if not pauli:
-        def candidates(j: int) -> list[int]:
-            return _frame_candidates(out.basis, j, flat[:out.dim], half)
-
-        def bracket(i: int, j: int) -> Matrix:
-            return commutator(out.basis[i], out.basis[j])
-    else:
-        n = n_dim.bit_length() - 1
-        odd = _parity(np.arange(cap), 2 * n).astype(bool)
-        col = np.arange(n_dim)
-        # row z: (-1)^(z.c) over the columns c
-        walsh = 1.0 - 2 * _parity(col[:, None] & col, n)
-
-        def candidates(j: int) -> list[int]:
-            kj = int(keys[j])
-            # (x_i & z_j) ^ (z_i & x_j), packed: key i against key j with halves swapped
-            swapped = ((kj & (n_dim - 1)) << n) | (kj >> n)
-            earlier = keys[:j]
-            return np.flatnonzero(odd[earlier & swapped] & ~held[earlier ^ kj]).tolist()
-
-        def bracket(i: int, j: int) -> Matrix:
-            # b = s X^x Z^z holds s at (x, 0); for anticommuting strings
-            # [b_i, b_j] = 2 b_i b_j = 2 s_i s_j (-1)^(z_i.x_j) X^(x_i^x_j) Z^(z_i^z_j).
-            # + 0.0 clears the zero signs, which the dense product never sets
-            xi, zi = divmod(int(keys[i]), n_dim)
-            xj, zj = divmod(int(keys[j]), n_dim)
-            s = 2 * buf[i, xi, 0] * buf[j, xj, 0] * (-1.0 if odd[zi & xj] else 1.0)
-            c = np.zeros((n_dim, n_dim), dtype=complex)
-            c[col ^ xi ^ xj, col] = s * walsh[zi ^ zj] + 0.0
-            return c
+    stop = _last_count(flat[:out.dim], n_dim, half)
 
     def pairs(frontier: list[int]):
-        # candidates(j) runs when the sweep reaches j, against the frame then
+        # the candidates of j are picked when the sweep reaches j, against the frame then
         for j in frontier:
-            for i in candidates(j):
+            for i in _frame_candidates(out.basis, j, flat[:out.dim], half):
                 yield i, j
 
     frontier = list(range(out.dim))
@@ -359,8 +505,7 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
         generation += 1
         admitted: list[int] = []
         for i, j in pairs(frontier):
-            recipe = Recipe("comm", left=i, right=j)
-            if admit(bracket(i, j), recipe, generation, keys[i] ^ keys[j]):
+            if admit(_bracket(out.basis[i], out.basis[j]), generation, "comm", None, i, j):
                 admitted.append(out.dim - 1)
                 if out.dim == stop:
                     break
@@ -368,13 +513,9 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
 
     buf.resize((out.dim, n_dim, n_dim), refcheck=False)
     out.frame = buf
-    if pauli:
-        out.basis[:] = buf
-        return out
     out.tri = np.zeros((out.dim, out.dim))
     for m, coords in enumerate(cols):
         out.tri[:m + 1, m] = coords
-    return out
 
 
 def membership(a, basis: LieBasis) -> MembershipResult:
@@ -396,7 +537,8 @@ def membership(a, basis: LieBasis) -> MembershipResult:
     if basis.dim == 0:
         res = frob_norm(m)
         return MembershipResult(res == 0.0, np.zeros(0), res)
-    proj = np.einsum("kij,ij->k", basis.frame.conj(), m).real
+    # Re tr(frame_k^dag m) = Re sum(frame_k * conj(m)): no conjugated copy of the frame
+    proj = np.einsum("kij,ij->k", basis.frame, m.conj()).real
     residual = frob_norm(m - np.tensordot(proj, basis.frame, axes=1))
     coeffs = proj if basis._tri is None else np.linalg.solve(basis._tri, proj)
     norm = frob_norm(m)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 import numpy as np
 
@@ -119,20 +118,41 @@ def span_dimension(l: int, n: int) -> int:
 
     mono_mul gives M_a^dag M_b = mu^p M_{b-a}, so the Gram matrix
     tr(M_a^dag M_b) is N times the identity exactly when every non-identity
-    monomial is traceless.  That identity is checked, one trace per
-    monomial, each to DEFAULTS.span_rank_tol; the monomials are then
-    independent and the dimension is l^{2n}.
+    monomial is traceless.  That identity is checked, each trace to
+    DEFAULTS.span_rank_tol; the monomials are then independent and the
+    dimension is l^{2n}.  A monomial is a prefix P_a = T_0^{a_0} ...
+    T_{n-1}^{a_{n-1}} times a suffix S_b = T_n^{b_0} ... T_{2n-1}^{b_{n-1}},
+    and tr(P_a S_b) = vec(P_a) . vec(S_b^T), so every trace comes from one
+    product of the l^n stacked prefixes with the l^n stacked suffixes, in
+    O(l^n N^2) memory.  A failure names the last monomial, in
+    itertools.product order, of largest trace.
     """
     if l < 2 or n < 1:
         raise ValueError(f"span needs l >= 2 and n >= 1, got l = {l}, n = {n}")
     check_capacity(l, n)
-    gens = torus_T(n, l)
-    worst, exps = max((abs(np.trace(mono_eval(Monomial(l, n, 0, e), gens))), e)
-                      for e in iproduct(range(l), repeat=2 * n) if any(e))
-    if worst > DEFAULTS.span_rank_tol:
+    mats = torus_T(n, l).matrices()
+    prefixes, suffixes = _power_products(mats[:n], l), _power_products(mats[n:], l)
+    traces = np.abs(prefixes.reshape(len(prefixes), -1)
+                    @ suffixes.transpose(0, 2, 1).reshape(len(suffixes), -1).T).ravel()
+    traces[0] = -1.0   # the identity monomial
+    last = len(traces) - 1 - int(np.argmax(traces[::-1]))
+    if traces[last] > DEFAULTS.span_rank_tol:
+        exps = tuple(int(e) for e in np.unravel_index(last, (l,) * (2 * n)))
         raise LieGatesError(f"monomial {render_monomial(Monomial(l, n, 0, exps))} has trace "
-                            f"{worst:.6g}; the monomials are not orthogonal")
+                            f"{traces[last]:.6g}; the monomials are not orthogonal")
     return l ** (2 * n)
+
+
+def _power_products(mats: list[Matrix], l: int) -> np.ndarray:
+    """Stack of m_0^{e_0} m_1^{e_1} ... over e in itertools.product(range(l), ...) order."""
+    dim = mats[0].shape[0]
+    out = np.eye(dim, dtype=complex)[None]
+    for m in mats:
+        powers = [np.eye(dim, dtype=complex)]
+        for _ in range(l - 1):
+            powers.append(powers[-1] @ m)
+        out = (out[:, None] @ np.stack(powers)).reshape(-1, dim, dim)
+    return out
 
 
 # ---------------------------------------------------------------------------

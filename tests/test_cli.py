@@ -14,7 +14,7 @@ import pytest
 from liegates import cli, lieclosure, linalg, symalg
 from liegates.cli import build_parser, run
 from liegates.errors import FamilyMismatchError
-from liegates.generators import GeneratorSet, relation_report
+from liegates.generators import Generator, GeneratorSet, relation_report
 from liegates.lieclosure import _BUILDERS, build_family
 
 
@@ -165,7 +165,9 @@ def test_huge_power_refused_without_forming_it(capsys, argv):
 
 
 def test_span_exits_1_when_a_monomial_has_trace(capsys, monkeypatch):
-    monkeypatch.setattr(symalg, "mono_eval", lambda a, gens: np.eye(gens.dim))
+    # a family of identities: every monomial has trace 2, and the last one is named
+    monkeypatch.setattr(symalg, "torus_T", lambda n, l: GeneratorSet("torus_full", n, l, [
+        Generator(f"T{k}", np.eye(l**n, dtype=complex), 1, "hermitian") for k in range(2 * n)]))
     code, _, err = run_json(capsys, ["span", "--l", "2", "--n", "1"])
     assert code == 1
     assert "monomial T0 T1 has trace 2" in json.loads(err)["error"]["message"]

@@ -565,7 +565,7 @@ def test_generator_ids_must_be_those_of_the_basis_in_order(label, n, l):
 def test_basis_without_the_pauli_flag_gets_group_commutators():
     # a hand-built basis is not marked: its words are correct but longer
     gens, basis = _closed("clifford_two_local", 2)
-    plain = replace(basis, pauli=False)
+    plain = replace(basis, keys=None)
     assert compiler_mod._templates(plain).word_start[-1] == 111
     report = compile(_su4(21), gens, plain, CompileConfig(target_error=1e-8)).report
     assert report["target_error_met"]

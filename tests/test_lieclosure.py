@@ -454,6 +454,8 @@ def _assert_same_closure(got, want):
     assert got.recipes == want.recipes
     assert all(type(r.left) is type(s.left) for r, s in zip(got.recipes, want.recipes))
     assert got.generations == want.generations
+    # the reference stores no keys: its residual re-forms every tree value densely
+    assert got.max_recipe_residual() == want.max_recipe_residual()
 
 
 def test_traced_generator_closes_on_u_n():
@@ -479,14 +481,15 @@ def test_exact_commutators_bounded_by_admissions(monkeypatch):
 
 
 def _closure_counting_commutators(monkeypatch, gens):
+    # the dense sweep forms its exact commutators with _bracket, which skips
+    # the validation of linalg.commutator; both are counted
     calls = []
-    orig = lieclosure_mod.commutator
+    for name in ("commutator", "_bracket"):
+        def counting(a, b, orig=getattr(lieclosure_mod, name)):
+            calls.append(1)
+            return orig(a, b)
 
-    def counting(a, b):
-        calls.append(1)
-        return orig(a, b)
-
-    monkeypatch.setattr(lieclosure_mod, "commutator", counting)
+        monkeypatch.setattr(lieclosure_mod, name, counting)
     return closure(gens), len(calls)
 
 
@@ -503,6 +506,58 @@ def test_dense_filter_bounded_by_admissions(monkeypatch):
     admitted = basis.dim - basis.generations.count(0)
     assert not basis.pauli and admitted == 72
     assert calls <= 2 * admitted
+
+
+def _scaled_strings():
+    # clifford_plus_u(3) with its generators scaled: after normalisation the
+    # commutator norms differ in their last bits
+    base = clifford_plus_u(3)
+    scales = (1.0, 3.0, 0.7, 1.3, 0.1, 7.0, 2.2)
+    return GeneratorSet("scaled", 3, 2, [Generator(el.id, s * el.matrix, 3, "anti_hermitian")
+                                         for el, s in zip(base.elements, scales)])
+
+
+def _between_commutator_norms(gens):
+    """tol whose threshold lies between the two shortest commutator norms of the closure."""
+    basis = closure(gens)
+    norms = sorted({frob_norm(commutator(basis.basis[i], basis.basis[j]))
+                    for j in range(basis.dim) for i in range(j)} - {0.0})
+    return (norms[0] + norms[1]) / 2 / gens.dim
+
+
+@pytest.mark.parametrize("make, tol", [
+    (lambda: clifford_plus_u(3), None),
+    (lambda: two_local_clifford_set(3), None),
+    (lambda: clifford_plus_u(2), 0.375),
+    (_scaled_strings, None),
+    # some first pairs of a key are refused as too short, and the key's next pair decides
+    (_scaled_strings, "between"),
+], ids=["clifford_plus_u-3", "clifford_two_local-3", "tol-0.375", "scaled", "scaled-between"])
+@pytest.mark.parametrize("pairs", [1, 7])
+def test_chunked_pauli_sweep_matches_all_pairs_reference(monkeypatch, make, tol, pairs):
+    # a pair budget this small splits every generation into many chunks
+    gens = make()
+    tol = _between_commutator_norms(gens) if tol == "between" else tol
+    monkeypatch.setattr(lieclosure_mod, "_PAIRS", pairs)
+    got = closure(gens, tol=tol)
+    assert got.pauli
+    _assert_same_closure(got, _all_pairs_closure(gens, tol=tol))
+    if make is _scaled_strings and tol is not None:
+        # generation 1 keeps some commutators, not all of the default's
+        assert 0 < got.generations.count(1) < closure(gens).generations.count(1)
+
+
+def test_membership_holds_no_copy_of_the_frame():
+    basis = closure(build_family("clifford_two_local", 5, 2))
+    m = 0.3 * basis.basis[5] + basis.basis[100]
+    tracemalloc.start()
+    try:
+        res = membership(m, basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.member and basis.frame.nbytes > 16e6
+    assert peak < basis.frame.nbytes / 16
 
 
 def test_su64_closure_holds_one_basis_stack():
