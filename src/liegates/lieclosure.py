@@ -9,9 +9,11 @@ the sweep is bit arithmetic on the strings, a generation at a time: one
 numpy pass over a chunk of the generation's pairs picks the commutators
 whose string no element holds, and they are filled into the frame by
 index (N entries each) and admitted together.  Any other set (the torus
-at l >= 3) has no such structure: per newest element its commutators are
-dense products, projected on the frame in batches to filter them, and
-the ones kept are decided one at a time by a double Gram-Schmidt pass.
+at l >= 3) has no such structure: its elements are rows of one basis
+stack, and per newest element b_j each block of earlier rows B gives its
+commutators from one product P = B b_j as P - P^dag, projected on the
+frame to filter them; the ones kept are formed exactly and decided one at
+a time by a double Gram-Schmidt pass.
 Each element carries a recipe, a binary commutator tree over primitive
 generator ids plus one real scale, which the compiler later realises as
 a word: exact quarter-turn conjugations on a Pauli set, nested group
@@ -68,7 +70,8 @@ class LieBasis:
     height generations[i], and scales and tree values take one forward pass.
     On the Pauli path keys[k] is the string key (x << n) | z of element k,
     basis[k] is a view of row k of the frame, one (dim, N, N) stack, and no
-    tri is stored: it reads as the identity.
+    tri is stored: it reads as the identity.  Otherwise basis[k] is a view
+    of row k of one (dim, N, N) basis stack, apart from the frame.
     """
     matrix_dim: int
     generator_matrices: dict[str, Matrix]
@@ -174,8 +177,9 @@ class LieBasis:
         return worst
 
 
-# commutator rows per stacked product in the dense candidate filter of closure
-_BLOCK = 64
+# bytes of basis rows per product in the dense candidate filter of closure:
+# fewer, larger blocks read the frame fewer times (N = 27: 359 rows, N = 64: 64)
+_BLOCK_BYTES = 1 << 22
 # bytes of frame rows the Pauli sweep normalises at once: a block this size
 # stays in cache through its four passes (su(64): 4 rows, su(16): 64)
 _ROW_BYTES = 1 << 18
@@ -224,15 +228,26 @@ def _pauli_keys(mats: np.ndarray) -> np.ndarray | None:
     return (x << n) | z
 
 
-def _frame_candidates(basis: list[Matrix], j: int, frame: np.ndarray, half: float) -> list[int]:
-    """The i < j whose [b_i, b_j] leaves the frame (real view) by more than half."""
-    bj = basis[j]
+def _frame_candidates(stack: np.ndarray, j: int, frame: np.ndarray, herm: np.ndarray,
+                      half: float) -> list[int]:
+    """The i < j whose [b_i, b_j] may leave the frame (real view) by more than half.
+
+    stack[m] is b_m and herm[m] = |b_m + b_m^dag|.  P - P^dag, P = b_i b_j,
+    differs from [b_i, b_j] by h_j b_i - b_j^dag h_i, h_m = b_m + b_m^dag,
+    of norm at most herm[i] + herm[j] for unit elements, so its residual is
+    held against half less that bound.
+    """
+    n_dim = stack.shape[1]
+    bj = stack[j]
+    block = max(1, _BLOCK_BYTES // bj.nbytes)
     keep: list[int] = []
-    for lo in range(0, j, _BLOCK):
-        b = np.stack(basis[lo:min(lo + _BLOCK, j)])
-        c = (b @ bj - bj @ b).reshape(len(b), -1).view(float)
-        res = np.linalg.norm(c - (c @ frame.T) @ frame, axis=1)
-        keep += (lo + np.flatnonzero(res > half)).tolist()
+    for lo in range(0, j, block):
+        hi = min(lo + block, j)
+        p = (stack[lo:hi].reshape(-1, n_dim) @ bj).reshape(hi - lo, n_dim, n_dim)
+        c = (p - p.conj().transpose(0, 2, 1)).reshape(hi - lo, -1).view(float)
+        r = c - (c @ frame.T) @ frame
+        res = np.sqrt(np.einsum("ij,ij->i", r, r))
+        keep += (lo + np.flatnonzero(res > half - (herm[lo:hi] + herm[j]))).tolist()
     return keep
 
 
@@ -243,7 +258,7 @@ def _bracket(a: Matrix, b: Matrix) -> Matrix:
 
 def _inner(a: Matrix, b: Matrix) -> float:
     """frob_inner of two matrices the closure holds, unvalidated."""
-    return float(np.real(np.sum(a.conj() * b)))
+    return float((a.conj() * b).sum().real)
 
 
 def _last_count(rows: np.ndarray, n_dim: int, half: float) -> int:
@@ -255,7 +270,7 @@ def _last_count(rows: np.ndarray, n_dim: int, half: float) -> int:
     """
     centre = (1j / np.sqrt(n_dim) * np.eye(n_dim)).reshape(-1).view(float)
     cap = n_dim * n_dim
-    return cap - 1 if 2 * np.linalg.norm(rows @ centre) <= half else cap
+    return cap - 1 if 2 * frob_norm(rows @ centre) <= half else cap
 
 
 def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
@@ -287,12 +302,17 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
       tried, as the pair-by-pair sweep would.  The frame is the basis
       stack itself, no Gram-Schmidt runs and no tri is stored;
       LieBasis.keys holds each element's key.
-    * Otherwise, per frontier element b_j, the commutators [b_i, b_j]
-      are formed in stacked blocks of at most 64 and projected on the
-      frame in two matrix products, and one whose residual is at most
-      thresh/2 is dropped.  The others, in i order, are formed densely
-      one at a time, and each leaves the span when its residual, after a
-      double Gram-Schmidt pass, is above thresh; that residual joins the
+    * Otherwise the elements are the rows of one basis stack, grown in
+      place beside the frame.  Per frontier element b_j the earlier rows
+      are taken in blocks B of at most 4 MB; one product P = B b_j gives
+      P - P^dag, which is [b_i, b_j] for anti-Hermitian elements and
+      within e_i + e_j of it in general, e_m = |b_m + b_m^dag| (0 to
+      rounding on every built-in family).  A pair whose P - P^dag has a
+      residual on the frame (two matrix products) of at most
+      thresh/2 - (e_i + e_j) is dropped: its commutator's residual is at
+      most thresh/2.  The others, in i order, are formed exactly one at a
+      time, and each leaves the span when its residual, after a double
+      Gram-Schmidt pass, is above thresh; that residual joins the
       orthonormal frame, and its frame coordinates are recorded in tri.
 
     The sweep terminates when nothing is admitted or the element count
@@ -339,6 +359,9 @@ def _pauli_sweep(out: LieBasis, ids: list[str], mats: np.ndarray, gen_keys: np.n
     buf = np.empty((len(mats), n_dim, n_dim), dtype=complex)
     keys = np.empty(cap, dtype=np.int64)
     held = np.zeros(cap, dtype=bool)
+    # rows below this may hold entries: the leaves' buffer is uninitialised,
+    # and every row a resize adds is zero
+    dirty = len(buf)
     k = 0
     for gid, m, key in zip(ids, mats, gen_keys.tolist()):
         norm = frob_norm(m)
@@ -359,11 +382,12 @@ def _pauli_sweep(out: LieBasis, ids: list[str], mats: np.ndarray, gen_keys: np.n
 
     def fill(i: np.ndarray, j: np.ndarray, base: int) -> np.ndarray:
         """[b_i, b_j] of anticommuting pairs, written to the frame rows from base on."""
-        if base + len(i) > len(buf):
+        nonlocal dirty
+        end = base + len(i)
+        if end > len(buf):
             # realloc, without a copy of the rows; the basis views are
             # taken once the sweep ends
-            buf.resize((min(max(2 * len(buf), base + len(i)), cap), n_dim, n_dim),
-                       refcheck=False)
+            buf.resize((min(max(2 * len(buf), end), cap), n_dim, n_dim), refcheck=False)
         xi, zi = np.divmod(keys[i], n_dim)
         xj, zj = np.divmod(keys[j], n_dim)
         # b = s X^x Z^z holds s at (x, 0); for anticommuting strings
@@ -371,8 +395,9 @@ def _pauli_sweep(out: LieBasis, ids: list[str], mats: np.ndarray, gen_keys: np.n
         # s in complex scalar arithmetic, as the dense product forms it
         s = [2 * si * sj * (-1.0 if o else 1.0) for si, sj, o in
              zip(buf[i, xi, 0].tolist(), buf[j, xj, 0].tolist(), odd[zi & xj].tolist())]
-        rows = buf[base:base + len(i)]
-        rows[...] = 0
+        rows = buf[base:end]
+        buf[base:min(dirty, end)] = 0
+        dirty = max(dirty, end)
         # + 0.0 clears the zero signs, which the dense product never sets
         rows[np.arange(len(i))[:, None], col ^ (xi ^ xj)[:, None], col] = (
             np.array(s)[:, None] * walsh[zi ^ zj] + 0.0)
@@ -454,68 +479,82 @@ def _dense_sweep(out: LieBasis, ids: list[str], mats: np.ndarray, thresh: float)
     """closure's sweep on any set that is not a Pauli set, recorded in out."""
     n_dim = out.matrix_dim
     cap = n_dim * n_dim
-    # frame rows, grown in place when full; flat is its real view, where
-    # frob_inner(q, r) is a dot product of rows
-    buf = np.empty((len(mats), n_dim, n_dim), dtype=complex)
+    # the basis stack, the frame rows (flat is their real view, where
+    # frob_inner(q, r) is a dot product of rows), |b + b^dag| and, in row m,
+    # the frame coordinates of element m (column m of tri), grown in place
+    # together when full.  A resize moves the rows: a row is read afresh
+    # after an admission, never held across one
+    stack = np.empty((len(mats), n_dim, n_dim), dtype=complex)
+    buf = np.empty_like(stack)
     flat = buf.reshape(len(buf), -1).view(float)
-    cols: list[np.ndarray] = []   # frame coordinates of each element
+    herm = np.empty(len(buf))
+    coords = np.zeros((len(buf), cap))
+    k = 0
 
     def admit(c: Matrix, generation: int, *recipe) -> bool:
         """Add c/|c| if c leaves the span; recipe is (kind, gen_id, left, right)."""
-        nonlocal flat
-        k = out.dim
+        nonlocal flat, k
         norm_c = frob_norm(c)
         if norm_c <= thresh:
             return False
         if k == len(buf):
             # realloc, without a copy of the rows; flat is re-pointed.  The
             # sweep admits at most N^2 elements once the leaves are in
-            buf.resize((min(2 * k, cap), n_dim, n_dim), refcheck=False)
+            for a in (stack, buf, herm, coords):
+                a.resize((min(2 * k, cap),) + a.shape[1:], refcheck=False)
             flat = buf.reshape(len(buf), -1).view(float)
-        r, coeffs = c, np.zeros(k)
+        # proj starts at 0.0, as a zeroed sum does: a -0.0 step reads +0.0
+        frame, r, proj = flat[:k], c.reshape(-1).view(float), 0.0
         for _ in range(2):
-            step = flat[:k] @ r.reshape(-1).view(float)
-            r = r - (step @ flat[:k]).view(complex).reshape(c.shape)
-            coeffs += step
+            step = frame @ r
+            r = r - step @ frame
+            proj = proj + step
+        r = r.view(complex).reshape(c.shape)
         norm_r = frob_norm(r)
         if norm_r <= thresh:
             return False
-        b = c / norm_c
-        buf[k] = r / norm_r
-        cols.append(np.append(coeffs, norm_r) / norm_c)
-        out.basis.append(b)
+        b = np.divide(c, norm_c, out=stack[k])
+        np.divide(r, norm_r, out=buf[k])
+        np.divide(proj, norm_c, out=coords[k, :k])
+        coords[k, k] = norm_r / norm_c
         out.recipes.append(Recipe(*recipe, _inner(b, c)))
         out.generations.append(generation)
+        k += 1
         return True
 
     for gid, m in zip(ids, mats):
         admit(m, 0, "leaf", gid, None, None)
     half = thresh / 2
-    stop = _last_count(flat[:out.dim], n_dim, half)
+    stop = _last_count(flat[:k], n_dim, half)
 
     def pairs(frontier: list[int]):
         # the candidates of j are picked when the sweep reaches j, against the frame then
         for j in frontier:
-            for i in _frame_candidates(out.basis, j, flat[:out.dim], half):
+            for i in _frame_candidates(stack, j, flat[:k], herm, half):
                 yield i, j
 
-    frontier = list(range(out.dim))
+    frontier = list(range(k))
     generation = 0
-    while frontier and out.dim < stop:
+    while frontier and k < stop:
         generation += 1
+        # herm of the frontier, the elements the last generation admitted:
+        # the filter reads none of this generation's
+        h = stack[frontier[0]:k]
+        herm[frontier[0]:k] = np.linalg.norm(
+            (h + h.conj().transpose(0, 2, 1)).reshape(len(h), -1), axis=1)
         admitted: list[int] = []
         for i, j in pairs(frontier):
-            if admit(_bracket(out.basis[i], out.basis[j]), generation, "comm", None, i, j):
-                admitted.append(out.dim - 1)
-                if out.dim == stop:
+            if admit(_bracket(stack[i], stack[j]), generation, "comm", None, i, j):
+                admitted.append(k - 1)
+                if k == stop:
                     break
         frontier = admitted
 
-    buf.resize((out.dim, n_dim, n_dim), refcheck=False)
+    for a in (stack, buf):
+        a.resize((k, n_dim, n_dim), refcheck=False)
+    out.basis = list(stack)
     out.frame = buf
-    out.tri = np.zeros((out.dim, out.dim))
-    for m, coords in enumerate(cols):
-        out.tri[:m + 1, m] = coords
+    out.tri = coords[:k, :k].T.copy()
 
 
 def membership(a, basis: LieBasis) -> MembershipResult:

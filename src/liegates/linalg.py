@@ -48,7 +48,21 @@ def dagger(a: Matrix) -> Matrix:
 
 
 def frob_norm(a: Matrix) -> float:
-    return float(np.linalg.norm(a))
+    """numpy.linalg.norm(a) bit for bit, by its own formula without its dispatch.
+
+    sqrt(re.re + im.im) over the entries in memory order (x.x for a real
+    array, integers as float64).  math.sqrt rounds a float64 exactly as
+    numpy's sqrt does; other widths keep numpy's sqrt.
+    """
+    x = np.asarray(a).ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        s = re.dot(re) + im.dot(im)
+    else:
+        if x.dtype.kind != "f":
+            x = x.astype(float)
+        s = x.dot(x)
+    return math.sqrt(s) if type(s) is np.float64 else float(np.sqrt(s))
 
 
 def max_abs(a: Matrix) -> float:

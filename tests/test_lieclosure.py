@@ -449,6 +449,11 @@ def _assert_same_closure(got, want):
         assert np.max(np.abs(got.frame - want.frame), initial=0.0) <= 1e-16
         assert np.max(np.abs(got.tri - want.tri), initial=0.0) <= 1e-16
     else:
+        # each element is a view of one basis stack, which is not the frame
+        if got.dim:
+            stack = got.basis[0].base
+            assert all(b.base is stack and np.shares_memory(b, stack) for b in got.basis)
+            assert not np.shares_memory(stack, got.frame)
         assert np.array_equal(got.frame, want.frame)
         assert np.array_equal(got.tri, want.tri)
     assert got.recipes == want.recipes
@@ -506,6 +511,38 @@ def test_dense_filter_bounded_by_admissions(monkeypatch):
     admitted = basis.dim - basis.generations.count(0)
     assert not basis.pauli and admitted == 72
     assert calls <= 2 * admitted
+
+
+def _exact_frame_candidates(stack, j, frame, herm, half):
+    """The filter with each [b_i, b_j] formed exactly, one pair at a time: the reference."""
+    keep = []
+    for i in range(j):
+        c = (stack[i] @ stack[j] - stack[j] @ stack[i]).reshape(-1).view(float)
+        if np.linalg.norm(c - (c @ frame.T) @ frame) > half:
+            keep.append(i)
+    return keep
+
+
+def test_filter_margin_keeps_what_the_exact_filter_keeps(monkeypatch):
+    # A = i IZ + eps XI is anti-Hermitian only to within the tolerance, and
+    # B = i ZI commutes with i IZ, so [b_A, b_B] = (eps/4) i [XI, ZI] = (eps/2) YI:
+    # Hermitian, of norm eps, and off the span.  P - P^dag, P = b_A b_B, is
+    # 0: only the margin |b_A + b_A^dag| = 2 eps keeps the pair
+    eps = 4e-10
+    gens = GeneratorSet("near_anti_hermitian", 2, 2, [
+        Generator("A", 1j * _string("IZ") + eps * _string("XI"), 2, "anti_hermitian"),
+        Generator("B", 1j * _string("ZI"), 2, "anti_hermitian")])
+    assert is_anti_hermitian(gens.elements[0].matrix)
+    assert not is_anti_hermitian(gens.elements[0].matrix, tol=eps)
+    tol = 5e-11         # thresh/2 = 1e-10, below eps
+    got = closure(gens, tol=tol)
+    b_a, b_b = got.basis[:2]
+    p = b_a @ b_b
+    assert frob_norm(p - p.conj().T) <= tol * gens.dim / 2
+    assert (got.recipes[2].left, got.recipes[2].right) == (0, 1)
+    monkeypatch.setattr(lieclosure_mod, "_frame_candidates", _exact_frame_candidates)
+    _assert_same_closure(got, closure(gens, tol=tol))
+    _assert_same_closure(got, _all_pairs_closure(gens, tol=tol))
 
 
 def _scaled_strings():

@@ -144,6 +144,31 @@ def test_frob_inner_positive_definite_on_anti_hermitian():
         assert abs(frob_inner(a, a) - frob_norm(a) ** 2) < 1e-12
 
 
+def _norm_inputs():
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    big = rng.standard_normal((40, 33)) + 1j * rng.standard_normal((40, 33))
+    return {
+        "complex128": z,
+        "float64": z.real.copy(),
+        "integer": np.arange(-12, 13).reshape(5, 5),
+        "transposed": z.T,
+        "strided": big[::3, 1::2],
+        "real-view-of-complex": big.real,
+        "stack": rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4)),
+        "empty-complex": np.zeros((0, 0), dtype=complex),
+        "empty-float": np.zeros(0),
+    }
+
+
+@pytest.mark.parametrize("name", list(_norm_inputs()))
+def test_frob_norm_is_numpy_norm_bit_for_bit(name):
+    a = _norm_inputs()[name]
+    got, want = frob_norm(a), float(np.linalg.norm(a))
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_predicates():
     assert is_hermitian(SX)
     assert is_anti_hermitian(1j * SX)
