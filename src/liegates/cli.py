@@ -20,6 +20,7 @@ With a fixed --seed the output is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -236,10 +237,8 @@ def _cmd_verify(args) -> dict:
     record("evaluate_identity", frob_norm(evaluate([], gens) - np.eye(4)) == 0.0)
 
     # every subcommand's JSON payload against its documented schema
-    parser = build_parser()
-
     def payload(*argv: str) -> dict:
-        parsed = parser.parse_args(argv)
+        parsed = _parser().parse_args(argv)
         return parsed.fn(parsed)
 
     schemas = {
@@ -270,8 +269,8 @@ def _cmd_verify(args) -> dict:
             {"rows", "all_match"},
         ),
     }
-    for name, (payload, required) in schemas.items():
-        missing = required - payload.keys()
+    for name, (doc, required) in schemas.items():
+        missing = required - doc.keys()
         record(f"schema_{name}", not missing,
                f"missing keys {sorted(missing)}" if missing else "")
 
@@ -344,10 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process, built on first use rather than at import.  Sharing it
+# is safe: parse_args leaves the parser as it was, no argument has a mutable
+# default (each nargs="*" list is made afresh by the parse), and error()
+# raises at once, keeping nothing.
+_parser = functools.cache(build_parser)
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

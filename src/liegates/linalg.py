@@ -106,10 +106,14 @@ def check_capacity(side: int, power: int = 1) -> None:
 
 
 def tensor(a, b) -> Matrix:
-    """Kronecker product; block (j, k) of the result is a[j, k] * b."""
+    """Kronecker product; block (j, k) of the result is a[j, k] * b.
+
+    np.kron's bytes by one broadcast product, without its axis handling.
+    """
     ma, mb = as_matrix(a), as_matrix(b)
-    check_capacity(ma.shape[0] * mb.shape[0])
-    return np.kron(ma, mb)
+    p, q = ma.shape[0], mb.shape[0]
+    check_capacity(p * q)
+    return (ma[:, None, :, None] * mb[None, :, None, :]).reshape(p * q, p * q)
 
 
 def tensor_all(factors) -> Matrix:

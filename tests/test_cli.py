@@ -486,14 +486,41 @@ def test_closure_with_every_generator_refused(capsys):
     assert data["max_recipe_residual"] == 0.0
 
 
+# run() builds its parser once per process and shares it between calls (and
+# with verify --self): no call may leave anything behind for the next
+_SESSION = [
+    ["gens", "--family", "pauli"],
+    ["compile", "--family", "clifford_two_local", "--n", "2", "--sweep", "1", "2"],
+    ["compile", "--family", "clifford_two_local", "--n", "2", "--target", "cnot"],
+    ["closure", "--family", "torus_splits", "--n", "1", "--l", "3"],
+    ["table", "--max-n", "1", "--families", "clifford_full"],
+    ["verify", "--self", "--seed", "3"],
+]
+
+
 def test_byte_identical_reruns(capsys):
-    for argv in (
-        ["closure", "--family", "torus_splits", "--n", "1", "--l", "3"],
-        ["table", "--max-n", "1", "--families", "clifford_full"],
-    ):
-        _, out1, _ = run_json(capsys, argv)
-        _, out2, _ = run_json(capsys, argv)
-        assert out1 == out2
+    for argv in _SESSION:
+        first = run_json(capsys, argv)
+        assert first[0] == 0
+        assert run_json(capsys, argv) == first
+
+
+@pytest.mark.parametrize("bad, kind", [
+    (["gens", "--family", "nope"], "usage"),
+    (["compile", "--family", "clifford_two_local", "--n", "2", "--slices", "0"], "validation"),
+], ids=["usage", "validation"])
+def test_failed_call_leaves_nothing_for_the_next(capsys, bad, kind):
+    for argv in _SESSION[:3]:
+        # the reference is the call alone, on a freshly built parser
+        cli._parser.cache_clear()
+        alone = run_json(capsys, argv)
+        code, out, err = run_json(capsys, bad)
+        assert (code, out, json.loads(err)["error"]["type"]) == (2, "", kind)
+        assert run_json(capsys, argv) == alone
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    assert build_parser() is not build_parser()
 
 
 @pytest.mark.parametrize("target", [

@@ -798,6 +798,28 @@ def test_su8_reaches_rounding_at_four_slices():
         assert seq.report["phase_invariant_error"] <= 1e-12
 
 
+def test_slice_product_off_unitary_at_rounding_is_measured_not_refused(two_local, monkeypatch):
+    # a 256-slice product drifts from unitarity with the power: a unit 4e-12
+    # too long gives a product ~2e-9 off, above is_unitary's 1e-9, although
+    # the target passed _plan's check.  The report measures it all the same
+    gens, basis = two_local
+    u = random_unitary(4, np.random.default_rng(0))
+    refine, units = compiler_mod._refine_coords, []
+
+    def long_unit(plan, slices):
+        coords, unit = refine(plan, slices)
+        units.append(unit * (1 + 4e-12))
+        return coords, units[-1]
+
+    monkeypatch.setattr(compiler_mod, "_refine_coords", long_unit)
+    report = compile(u, gens, basis, CompileConfig(slices=256)).report
+    product = np.linalg.matrix_power(units[-1], report["slice_count"])
+    assert not is_unitary(product)
+    assert report["frob_error"] == frob_norm(u - product)
+    assert report["phase_invariant_error"] == phase_invariant_dist(u, product)
+    assert 1e-9 < report["phase_invariant_error"] < 1e-8
+
+
 def test_su4_targets_that_hit_the_slice_cap_now_converge(two_local):
     # targets 90 and 118 of 128 Haar SU(4) draws from default_rng(3): the
     # fixed point climbed to the 4096-slice cap and ended at 6.7e-4 / 4.6e-4

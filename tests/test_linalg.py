@@ -71,6 +71,15 @@ def test_tensor_associative():
     assert np.allclose(tensor(tensor(a, b), c), tensor(a, tensor(b, c)), rtol=1e-15, atol=0)
 
 
+def test_tensor_matches_np_kron_byte_for_byte():
+    rng = np.random.default_rng(17)
+    for p, q in ((1, 3), (2, 4), (4, 2), (3, 9), (2, 27), (27, 1), (5, 7)):
+        a, b = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)) for k in (p, q))
+        out = tensor(a, b)
+        assert out.flags.c_contiguous
+        assert out.tobytes() == np.kron(a, b).tobytes()
+
+
 def test_tensor_capacity():
     big = np.eye(100, dtype=complex)
     with pytest.raises(CapacityError):
