@@ -45,12 +45,18 @@ word at the positive one, and a commutator node is P_L P_R P_L^dag P_R^dag
 = (P_L P_R)(P_R P_L)^dag.  Refinement and reports therefore multiply such
 a slice on its commutator trees, exponentiating each leaf once and going
 up one tree height at a time in stacked products, in blocks of elements
-with a bounded node stack.  Words stay arrays of generator table rows and
-angles; (id, tau) pairs are built once, for the returned GateSequence.
-`evaluate` is the flat reference: it multiplies any sequence 256 gates at
-a time.  Its gates and the tree leaves come from one kernel: a closed form
-cos(c tau) I + sin(c tau) / c A for a generator whose spectrum is +/- ic,
-else a stacked product over the generator's cached eigenbasis.
+with a bounded node stack.  The plan of that work depends only on the
+basis and the block budget _TREE_BYTES, so it is built once per pair and
+cached with the basis's templates: the block bounds and, per block, the
+node count, the leaves ordered by generator, per tree height the stack
+positions of each node and its two children, and the positions of the
+roots.  Words stay arrays of generator table rows and angles; (id, tau)
+pairs are built once, for the returned GateSequence.  `evaluate` is the
+flat reference: it multiplies any sequence 256 gates at a time.  Its gates
+and the tree leaves come from one kernel, one generator's run of gates at
+a time: a closed form cos(c tau) I + sin(c tau) / c A for a generator
+whose spectrum is +/- ic, else a stacked product over the generator's
+cached eigenbasis.
 """
 
 from __future__ import annotations
@@ -182,28 +188,31 @@ def _reduce(mats: np.ndarray) -> Matrix:
     return mats[0]
 
 
-def _gates(table: _EigTable, gen: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Stack of the gates exp(A tau), given by table row and angle.
+def _gates(table: _EigTable, gen: np.ndarray, tau: np.ndarray, out=None) -> np.ndarray:
+    """Stack (or out) of the gates exp(A tau), given by table row and angle.
 
-    A generator whose -i A has spectrum +/- c squares to -c^2 I, so its
-    gate is cos(c tau) I + sin(c tau) / c A in closed form; any other is
-    exponentiated in its eigenbasis.
+    The rows are in non-decreasing order, so each generator's gates are
+    one run.  A generator whose -i A has spectrum +/- c squares to -c^2 I,
+    so its gate is cos(c tau) I + sin(c tau) / c A in closed form; any
+    other is exponentiated in its eigenbasis.
     """
     n = table.lam.shape[1]
-    gates = np.empty((len(gen), n, n), dtype=complex)
-    for g in np.flatnonzero(np.bincount(gen)):
-        sel = gen == g
+    out = np.empty((len(gen), n, n), dtype=complex) if out is None else out
+    counts = np.bincount(gen)
+    stops = np.cumsum(counts)
+    for g in np.flatnonzero(counts):
+        run = slice(stops[g] - counts[g], stops[g])
         c = table.freq[g]
         if c:
-            x = c * tau[sel]
-            gates[sel] = (np.cos(x)[:, None, None] * np.eye(n)
-                          + (np.sin(x) / c)[:, None, None] * table.mat[g])
+            x = c * tau[run]
+            out[run] = (np.cos(x)[:, None, None] * np.eye(n)
+                        + (np.sin(x) / c)[:, None, None] * table.mat[g])
             continue
-        phases = np.exp(1j * (tau[sel][:, None] * table.lam[g]))
+        phases = np.exp(1j * (tau[run][:, None] * table.lam[g]))
         # one (count * N, N) @ (N, N) product builds all gates of a generator
         scaled = table.w[g] * phases[:, None, :]
-        gates[sel] = (scaled.reshape(-1, n) @ table.wh[g]).reshape(-1, n, n)
-    return gates
+        np.matmul(scaled.reshape(-1, n), table.wh[g], out=out[run].reshape(-1, n))
+    return out
 
 
 def _word_product(table: _EigTable, gen: np.ndarray, tau: np.ndarray) -> Matrix:
@@ -213,7 +222,8 @@ def _word_product(table: _EigTable, gen: np.ndarray, tau: np.ndarray) -> Matrix:
     """
     out = np.eye(table.lam.shape[1], dtype=complex)
     for lo in range(0, len(gen), _CHUNK):
-        out = out @ _reduce(_gates(table, gen[lo:lo + _CHUNK], tau[lo:lo + _CHUNK]))
+        order = lo + np.argsort(gen[lo:lo + _CHUNK], kind="stable")
+        out = out @ _reduce(_gates(table, gen[order], tau[order])[np.argsort(order)])
     return out
 
 
@@ -285,6 +295,7 @@ class _Templates(NamedTuple):
     leaf_gen: np.ndarray    # generator table row of a leaf node, -1 elsewhere
     node: np.ndarray        # leaf node of each word entry (positive theta)
     sign: np.ndarray        # +1 or -1 per entry, times the leaf's angle
+    plans: dict             # _TREE_BYTES -> the _Block plans of _word_blocks
 
 
 def _templates(basis: LieBasis) -> _Templates:
@@ -335,7 +346,7 @@ def _templates(basis: LieBasis) -> _Templates:
         tuple(np.flatnonzero((parent >= 0) & (height == h))
               for h in range(height.max(initial=0), -1, -1)),
         ints(first), ints(second), np.array(gain, dtype=float),
-        ints(leaf_gen), ints(node), sign.astype(float),
+        ints(leaf_gen), ints(node), sign.astype(float), {},
     )
     return basis._templates
 
@@ -411,44 +422,31 @@ def _slice_items(coords: np.ndarray, basis: LieBasis, slices: int,
     return np.repeat(row, counts), np.repeat(tau / parts, counts)
 
 
-def _tree_words(t: _Templates, elems: np.ndarray, negative: np.ndarray, angle: np.ndarray,
-                table: _EigTable) -> np.ndarray:
-    """Stack of the words of some elements, formed on their trees."""
-    start = t.node_start[elems]
-    counts = t.node_start[elems + 1] - start
-    roots = np.cumsum(counts) - counts        # stack position of each root
-    shift = np.repeat(start - roots, counts)  # node number minus stack position
-    nodes = shift + np.arange(counts.sum())
-    height = t.height[nodes]
-    n = table.lam.shape[1]
-    stack = np.empty((len(nodes), n, n), dtype=complex)
-    leaf = nodes[height == 0]
-    stack[height == 0] = _gates(table, t.leaf_gen[leaf], angle[leaf])
-    for h in range(1, height.max() + 1):
-        k = np.flatnonzero(height == h)
-        f, s = t.first[nodes[k]] - shift[k], t.second[nodes[k]] - shift[k]
-        # P_f P_s P_f^dag P_s^dag = (P_f P_s) (P_s P_f)^dag
-        pair = stack[np.concatenate((f, s))] @ stack[np.concatenate((s, f))]
-        stack[k] = pair[:len(k)] @ pair[len(k):].conj().transpose(0, 2, 1)
-    top = stack[roots]
-    top[negative] = top[negative].conj().transpose(0, 2, 1)
-    return top
+class _Block(NamedTuple):
+    """Elements lo:hi of _word_blocks and, on a group-commutator set, the plan
+    of their node stack: the leaves first, ordered by generator, then the
+    nodes of each tree height, the lowest first."""
+    lo: int
+    hi: int
+    nodes: int = 0                    # stack size
+    leaves: np.ndarray | None = None  # node of each leaf, in stack order
+    levels: tuple = ()                # per height (start, stop, first, second) positions
+    roots: np.ndarray | None = None   # position of each element's root
 
 
-def _word_blocks(t: _Templates, basis: LieBasis, gens: GeneratorSet, theta: np.ndarray):
-    """The words of every element at one slice's coordinates theta, by block.
+def _blocks(basis: LieBasis) -> tuple[_Block, ...]:
+    """The block plans of the basis at the current _TREE_BYTES, built once per value."""
+    t = _templates(basis)
+    if _TREE_BYTES not in t.plans:
+        t.plans[_TREE_BYTES] = _plan_blocks(t, basis, _TREE_BYTES)
+    return t.plans[_TREE_BYTES]
 
-    Yields (elems, words) from the last block back.  An element with theta
-    0 has word I.  An exact word is exp(theta b_j) with b_j^2 = -I/N, so it
-    is cos(theta / sqrt(N)) I + sqrt(N) sin(theta / sqrt(N)) b_j.  A
-    group-commutator word is formed on its tree: each leaf, at its raw
-    angle, is exponentiated once and each commutator node formed from its
-    children one tree height at a time.  A block's stacks hold at most
-    _TREE_BYTES of matrices (or one element): an exact element counts one
-    matrix, a group-commutator element its tree nodes.
-    """
-    n = basis.matrix_dim
-    budget = _TREE_BYTES // (16 * n * n)
+
+def _plan_blocks(t: _Templates, basis: LieBasis, tree_bytes: int) -> tuple[_Block, ...]:
+    """Elements in greedy blocks of at most tree_bytes of stacked matrices (or
+    one element), each with its stack's plan: an exact element counts one
+    matrix, a group-commutator element its tree nodes."""
+    budget = tree_bytes // (16 * basis.matrix_dim**2)
     sizes = np.ones(basis.dim, np.intp) if basis.pauli else np.diff(t.node_start)
     bounds = [0]
     while bounds[-1] < basis.dim:
@@ -457,20 +455,63 @@ def _word_blocks(t: _Templates, basis: LieBasis, gens: GeneratorSet, theta: np.n
             total += sizes[hi]
             hi += 1
         bounds.append(hi)
-    angle = None if basis.pauli else _node_angles(t, theta, basis)
-    for lo, hi in reversed(list(zip(bounds, bounds[1:]))):
-        elems = np.arange(lo, hi)
+    if basis.pauli:
+        return tuple(_Block(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+    blocks = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        base = t.node_start[lo]
+        nodes = np.arange(base, t.node_start[hi])
+        order = nodes[np.lexsort((t.leaf_gen[nodes], t.height[nodes]))]
+        pos = np.empty(len(nodes), np.intp)   # stack position of node base + i
+        pos[order - base] = np.arange(len(order))
+        cuts = np.searchsorted(t.height[order], np.arange(t.height[order[-1]] + 2))
+        levels = []
+        for start, stop in zip(cuts[1:], cuts[2:]):
+            f, s = (pos[child[order[start:stop]] - base] for child in (t.first, t.second))
+            levels.append((start, stop, f, s))
+        blocks.append(_Block(lo, hi, len(nodes), order[:cuts[1]], tuple(levels),
+                             pos[t.node_start[lo:hi] - base]))
+    return tuple(blocks)
+
+
+def _word_blocks(basis: LieBasis, gens: GeneratorSet, theta: np.ndarray):
+    """The words of every element at one slice's coordinates theta, by block.
+
+    Yields (elements, words) from the last block back, the elements as a
+    slice.  An element with theta 0 has word I.  An exact word is
+    exp(theta b_j) with b_j^2 = -I/N, so it is cos(theta / sqrt(N)) I +
+    sqrt(N) sin(theta / sqrt(N)) b_j.  A group-commutator word is formed
+    on its tree: each leaf, at its raw angle, is exponentiated once and
+    each commutator node formed from its children one tree height at a
+    time.  Every element of a block is formed and the theta = 0 words are
+    then set to I; a block with no nonzero theta forms nothing.
+    """
+    n, t = basis.matrix_dim, _templates(basis)
+    angle = None
+    for b in reversed(_blocks(basis)):
+        elems, part = slice(b.lo, b.hi), theta[b.lo:b.hi]
         if basis.pauli:
-            x = theta[elems] / math.sqrt(n)
-            b = np.stack(basis.basis[lo:hi])
+            x = part / math.sqrt(n)
             yield elems, (np.cos(x)[:, None, None] * np.eye(n)
-                          + (math.sqrt(n) * np.sin(x))[:, None, None] * b)
+                          + (math.sqrt(n) * np.sin(x))[:, None, None] * basis.frame[elems])
             continue
-        words = np.empty((len(elems), n, n), dtype=complex)
-        words[:] = np.eye(n)
-        on = theta[elems] != 0
-        if on.any():
-            words[on] = _tree_words(t, elems[on], theta[elems[on]] < 0, angle, _eig_table(gens))
+        off = part == 0
+        if off.all():
+            yield elems, np.repeat(np.eye(n, dtype=complex)[None], len(part), axis=0)
+            continue
+        angle = _node_angles(t, theta, basis) if angle is None else angle
+        stack = np.empty((b.nodes, n, n), dtype=complex)
+        _gates(_eig_table(gens), t.leaf_gen[b.leaves], angle[b.leaves], stack[:len(b.leaves)])
+        for start, stop, f, s in b.levels:
+            # P_f P_s P_f^dag P_s^dag = (P_f P_s) (P_s P_f)^dag
+            first, second = stack[f], stack[s]
+            right = second @ first
+            np.matmul(first @ second, np.conj(right, out=right).transpose(0, 2, 1),
+                      out=stack[start:stop])
+        words = stack[b.roots]
+        back = part < 0
+        words[back] = words[back].conj().transpose(0, 2, 1)
+        words[off] = np.eye(n)
         yield elems, words
 
 
@@ -485,7 +526,7 @@ def _slice_product(coords: np.ndarray, basis: LieBasis, slices: int,
     two give the same product bit for bit.
     """
     out = np.eye(basis.matrix_dim, dtype=complex)
-    for _, words in _word_blocks(_templates(basis), basis, gens, _realised(coords, slices)):
+    for _, words in _word_blocks(basis, gens, _realised(coords, slices)):
         for word in words[::-1]:
             out = word @ out
     return out
@@ -537,28 +578,27 @@ def _linearise(coords: np.ndarray, basis: LieBasis, slices: int,
     evaluation.  Blocks run from the last element back, so the suffix S_j
     is carried from block to block and ends as W.
     """
-    t = _templates(basis)
     n, dim = basis.matrix_dim, basis.dim
     theta = _realised(coords, slices)
     if not basis.pauli:
         shifted = theta + _DIFF_STEP
-        moved = _word_blocks(t, basis, gens, shifted)
+        moved = _word_blocks(basis, gens, shifted)
     frame = basis.frame.reshape(dim, -1)
     jac = np.empty((dim, dim))
     suffix = np.eye(n, dtype=complex)
-    for elems, words in _word_blocks(t, basis, gens, theta):
+    for elems, words in _word_blocks(basis, gens, theta):
         if basis.pauli:
-            diff = np.stack([basis.basis[j] for j in elems])
+            diff = basis.frame[elems]
         else:
             diff = words.conj().transpose(0, 2, 1) @ (next(moved)[1] - words)
             diff /= (shifted - theta)[elems, None, None]
         after = np.empty_like(words)
-        for k in range(len(elems) - 1, -1, -1):
+        for k in range(len(words) - 1, -1, -1):
             after[k] = suffix
             suffix = words[k] @ suffix
         cols = after.conj().transpose(0, 2, 1) @ diff @ after
         # Re tr(frame_k^dag X) = Re sum(frame_k * conj(X))
-        jac[:, elems] = (frame @ cols.reshape(len(elems), -1).conj().T).real
+        jac[:, elems] = (frame @ cols.reshape(len(words), -1).conj().T).real
     return suffix, jac / slices
 
 

@@ -354,13 +354,13 @@ def _pauli_sweep(out: LieBasis, ids: list[str], mats: np.ndarray, gen_keys: np.n
     n_dim = out.matrix_dim
     n = n_dim.bit_length() - 1
     cap = n_dim * n_dim
-    # the frame, which is the basis stack, grown in place when full; the
-    # key of each element, and whether an element holds a key
+    # the frame, which is the basis stack, grown when full; the key of each
+    # element, and whether an element holds a key
     buf = np.empty((len(mats), n_dim, n_dim), dtype=complex)
     keys = np.empty(cap, dtype=np.int64)
     held = np.zeros(cap, dtype=bool)
     # rows below this may hold entries: the leaves' buffer is uninitialised,
-    # and every row a resize adds is zero
+    # and every row a growth adds is zero
     dirty = len(buf)
     k = 0
     for gid, m, key in zip(ids, mats, gen_keys.tolist()):
@@ -382,12 +382,19 @@ def _pauli_sweep(out: LieBasis, ids: list[str], mats: np.ndarray, gen_keys: np.n
 
     def fill(i: np.ndarray, j: np.ndarray, base: int) -> np.ndarray:
         """[b_i, b_j] of anticommuting pairs, written to the frame rows from base on."""
-        nonlocal dirty
+        nonlocal buf, dirty
         end = base + len(i)
         if end > len(buf):
-            # realloc, without a copy of the rows; the basis views are
+            # a fresh calloc'd stack, whose pages the kernel zeroes on first
+            # write (a resize would memset its new rows); past a quarter of
+            # the stop, straight to the stop, so that the old and the new
+            # stack together stay under 1.25 stops.  The basis views are
             # taken once the sweep ends
-            buf.resize((min(max(2 * len(buf), end), cap), n_dim, n_dim), refcheck=False)
+            size = min(max(2 * len(buf), end), cap)
+            grown = np.zeros((max(stop, end) if 4 * size > stop else size, n_dim, n_dim),
+                             dtype=complex)
+            grown[:len(buf)] = buf
+            buf = grown
         xi, zi = np.divmod(keys[i], n_dim)
         xj, zj = np.divmod(keys[j], n_dim)
         # b = s X^x Z^z holds s at (x, 0); for anticommuting strings

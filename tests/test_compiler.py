@@ -726,6 +726,76 @@ def test_refine_step_memory_is_bounded(monkeypatch):
         assert np.max(np.abs(a - b)) <= 1e-12
 
 
+# -- block plans ---------------------------------------------------------------
+
+def test_plans_are_built_once_per_budget(monkeypatch):
+    builds, build = [], compiler_mod._plan_blocks
+    monkeypatch.setattr(compiler_mod, "_plan_blocks",
+                        lambda *args: builds.append(args[-1]) or build(*args))
+    gens = build_family("torus_two_local", 2, 3)
+    basis = closure(gens)   # a fresh basis: nothing cached yet
+    u = random_unitary(9, np.random.default_rng(31))
+    default = compiler_mod._TREE_BYTES
+    for _ in range(2):
+        compile(u, gens, basis)
+    assert builds == [default]
+    monkeypatch.setattr(compiler_mod, "_TREE_BYTES", 1 << 16)
+    for _ in range(2):
+        compile(u, gens, basis)
+    assert builds == [default, 1 << 16]
+
+
+@pytest.mark.parametrize("label, n, l", [("torus_two_local", 2, 3), ("clifford_two_local", 3, 2)])
+def test_tree_bytes_patched_after_a_compile_takes_effect(monkeypatch, label, n, l):
+    gens, basis = _closed(label, n, l)
+    compile(random_unitary(gens.dim, np.random.default_rng(32)), gens, basis)
+    assert len(compiler_mod._blocks(basis)) < basis.dim
+    monkeypatch.setattr(compiler_mod, "_TREE_BYTES", 1)
+    blocks = compiler_mod._blocks(basis)
+    assert [(b.lo, b.hi) for b in blocks] == [(j, j + 1) for j in range(basis.dim)]
+    visited = [elems for elems, _ in compiler_mod._word_blocks(basis, gens, np.ones(basis.dim))]
+    assert visited == [slice(j, j + 1) for j in range(basis.dim - 1, -1, -1)]
+
+
+def _coords_with_zeros(basis, seed):
+    coords = np.random.default_rng(seed).normal(scale=0.5, size=basis.dim)
+    coords[::5] = 0.0
+    return coords
+
+
+@pytest.mark.parametrize("label, n, l", [("torus_two_local", 2, 3), ("torus_splits", 2, 3)])
+def test_slice_product_is_bit_identical_across_budgets(monkeypatch, label, n, l):
+    # a word does not depend on the block it is formed in, nor on what else
+    # the block holds; the Jacobian's column products change shape, so it
+    # moves at rounding only
+    gens, basis = _closed(label, n, l)
+    coords = _coords_with_zeros(basis, 47)
+    runs = []
+    for tree_bytes in (compiler_mod._TREE_BYTES, 1):
+        monkeypatch.setattr(compiler_mod, "_TREE_BYTES", tree_bytes)
+        runs.append((_slice_product(coords, basis, 2, gens),
+                     *compiler_mod._linearise(coords, basis, 2, gens)))
+    (product, unit, jac), (product_1, unit_1, jac_1) = runs
+    assert np.array_equal(product, product_1)
+    assert np.array_equal(unit, unit_1)
+    assert np.array_equal(unit, product)
+    assert np.max(np.abs(jac - jac_1)) <= 1e-12
+
+
+@pytest.mark.parametrize("tree_bytes", [compiler_mod._TREE_BYTES, 1], ids=["blocks", "one_each"])
+@pytest.mark.parametrize("label, n, l", [("torus_two_local", 2, 3), ("clifford_two_local", 3, 2)])
+def test_zero_coordinate_words_are_exactly_the_identity(monkeypatch, tree_bytes, label, n, l):
+    monkeypatch.setattr(compiler_mod, "_TREE_BYTES", tree_bytes)
+    gens, basis = _closed(label, n, l)
+    theta = _coords_with_zeros(basis, 48)
+    eye = np.eye(basis.matrix_dim)
+    for elems, words in compiler_mod._word_blocks(basis, gens, theta):
+        for j, word in zip(range(basis.dim)[elems], words):
+            assert np.array_equal(word, eye) == (theta[j] == 0.0)
+    for elems, words in compiler_mod._word_blocks(basis, gens, np.zeros(basis.dim)):
+        assert all(np.array_equal(word, eye) for word in words)
+
+
 # -- Newton refinement -------------------------------------------------------
 
 @pytest.mark.parametrize("label, n, l", [
