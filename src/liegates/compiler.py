@@ -42,15 +42,16 @@ logarithm and every slice count's exp(L / slices); coordinates) and
 A depth-d group-commutator word has 4^d gates but only 2^d distinct leaf
 exponentials: an element's word at a negative angle is the adjoint of its
 word at the positive one, and a commutator node is P_L P_R P_L^dag P_R^dag
-= (P_L P_R)(P_R P_L)^dag.  Refinement and reports therefore multiply such
-a slice on its commutator trees, exponentiating each leaf once and going
-up one tree height at a time in stacked products, in blocks of elements
-with a bounded node stack.  The plan of that work depends only on the
-basis and the block budget _TREE_BYTES, so it is built once per pair and
-cached with the basis's templates: the block bounds and, per block, the
-node count, the leaves ordered by generator, per tree height the stack
-positions of each node and its two children, and the positions of the
-roots.  Words stay arrays of generator table rows and angles; (id, tau)
+= (P_L P_R)(P_R P_L)^dag.  So one walk, _linearise, multiplies a slice on
+its commutator trees for refinement and reports, with or without the
+Jacobian: each leaf is exponentiated once and each tree height formed in
+stacked products, in blocks of elements with a bounded node stack.  The
+plan of that work depends only on the basis and the block budget
+_TREE_BYTES, so it is built once per pair and cached with the basis's
+templates: the block bounds and, per block, the node count, the leaves
+ordered by generator, per tree height the stack positions of each node
+and its two children, and the positions of the roots.  Words stay arrays
+of generator table rows and angles; (id, tau)
 pairs are built once, for the returned GateSequence.  `evaluate` is the
 flat reference: it multiplies any sequence 256 gates at a time.  Its gates
 and the tree leaves come from one kernel, one generator's run of gates at
@@ -254,7 +255,7 @@ def merge_adjacent(items: list[tuple[str, float]]) -> list[tuple[str, float]]:
 # recipe realisation
 # ---------------------------------------------------------------------------
 
-# bytes of one block's node stack in _slice_product: at N = 16, 256 nodes
+# bytes of one block's node stack in _linearise: at N = 16, 256 nodes
 _TREE_BYTES = 1 << 20
 
 
@@ -262,21 +263,21 @@ class _Templates(NamedTuple):
     """Every basis element's unfolded recipe tree and word.
 
     Nodes are numbered element by element, each element's root first and
-    every node after its parent, whose height (its element's generation)
-    is larger.  For a coordinate theta a node's value is |theta| at the
-    root, and its angle is value / coeff.  P_k, the word of node k for a
-    positive theta, is exp(A * angle) at a leaf; at a commutator it
-    depends on the set.
+    every node before its children, whose height (their element's
+    generation) is smaller.  For a coordinate theta a node's value is
+    |theta| at the root, and its angle is value / coeff.  P_k, the word of
+    node k for a positive theta, is exp(A * angle) at a leaf; at a
+    commutator it depends on the set, as do its children's values.
 
-    * Group commutators (any set): a node's value is sqrt(value / coeff)
-      of its parent and P_k = P_f P_s P_f^dag P_s^dag, as exp(tP) exp(tQ)
-      exp(-tP) exp(-tQ) realises t^2 [P, Q]; f, s are its children in
-      recipe order.
+    * Group commutators (any set): both children of node k have value
+      sqrt(value / coeff) of node k, and P_k = P_f P_s P_f^dag P_s^dag, as
+      exp(tP) exp(tQ) exp(-tP) exp(-tQ) realises t^2 [P, Q]; f, s are its
+      children in recipe order.
     * Exact words (when the basis's pauli flag is set): children
       anticommute and square to -I/N, so with A = sqrt(N) b_f,
       exp(pi/4 A) exp(t b_s) exp(-pi/4 A) = exp(t sqrt(N) [b_f, b_s] / 2).
       f, the conjugator, is the child of the shorter word (the left one on
-      a tie) and has value pi sqrt(N) / 4; s, the carrier, has its parent's
+      a tie) and has value pi sqrt(N) / 4; s, the carrier, has node k's
       value times gain, 2 / (sqrt(N) coeff), negated when f is the right
       child.  P_k = P_f P_s P_f^dag realises exp(theta b_j).
 
@@ -285,13 +286,12 @@ class _Templates(NamedTuple):
     """
     node_start: np.ndarray  # (dim + 1,) first node of each element
     word_start: np.ndarray  # (dim + 1,) first word entry of each element
-    parent: np.ndarray      # parent node, -1 at a root
     coeff: np.ndarray       # coeff of each node's recipe
     height: np.ndarray      # generation of the node's element: 0 at a leaf
-    by_height: tuple        # non-root nodes, one array per height, the largest first
+    by_height: tuple        # commutator nodes, one array per height from 1, the largest first
     first: np.ndarray       # children of a commutator node in product order (an
     second: np.ndarray      # exact word's conjugator, carrier), -1 at a leaf
-    gain: np.ndarray        # exact words: a carrier's value per unit of its parent's
+    gain: np.ndarray        # exact words: a carrier's value per unit of its node's
     leaf_gen: np.ndarray    # generator table row of a leaf node, -1 elsewhere
     node: np.ndarray        # leaf node of each word entry (positive theta)
     sign: np.ndarray        # +1 or -1 per entry, times the leaf's angle
@@ -307,18 +307,18 @@ def _templates(basis: LieBasis) -> _Templates:
             raise ValueError(f"recipe {i} has coeff {rec.coeff}; closure writes positive ones")
     position = {gen_id: k for k, gen_id in enumerate(basis.generator_matrices)}
     root_n = math.sqrt(basis.matrix_dim)
-    parent, coeff, height, first, second, gain, leaf_gen = ([] for _ in range(7))
+    coeff, height, first, second, gain, leaf_gen = ([] for _ in range(6))
 
-    def unfold(i: int, up: int) -> tuple[int, list]:
+    def unfold(i: int) -> tuple[int, list]:
         # node k and its positive-theta word as (leaf node, sign) entries
-        k, rec = len(parent), basis.recipes[i]
-        for column, value in ((parent, up), (coeff, rec.coeff), (height, basis.generations[i]),
+        k, rec = len(coeff), basis.recipes[i]
+        for column, value in ((coeff, rec.coeff), (height, basis.generations[i]),
                               (first, -1), (second, -1), (gain, 0.0), (leaf_gen, -1)):
             column.append(value)
         if rec.kind == "leaf":
             leaf_gen[k] = position[rec.gen_id]
             return k, [(k, 1.0)]
-        (f, f_word), (s, s_word) = unfold(rec.left, k), unfold(rec.right, k)
+        (f, f_word), (s, s_word) = unfold(rec.left), unfold(rec.right)
         swap = basis.pauli and len(s_word) < len(f_word)
         if swap:
             (f, f_word), (s, s_word) = (s, s_word), (f, f_word)
@@ -332,20 +332,20 @@ def _templates(basis: LieBasis) -> _Templates:
 
     node_start, word_start, word = [0], [0], []
     for i in range(basis.dim):
-        word.extend(unfold(i, -1)[1])
-        node_start.append(len(parent))
+        word.extend(unfold(i)[1])
+        node_start.append(len(coeff))
         word_start.append(len(word))
     node, sign = (np.array(col) for col in zip(*word)) if word else [np.empty(0)] * 2
 
     def ints(values):
         return np.array(values, dtype=np.intp)
 
-    parent, height = ints(parent), ints(height)
+    first, height = ints(first), ints(height)
     basis._templates = _Templates(
-        ints(node_start), ints(word_start), parent, np.array(coeff, dtype=float), height,
-        tuple(np.flatnonzero((parent >= 0) & (height == h))
-              for h in range(height.max(initial=0), -1, -1)),
-        ints(first), ints(second), np.array(gain, dtype=float),
+        ints(node_start), ints(word_start), np.array(coeff, dtype=float), height,
+        tuple(np.flatnonzero((first >= 0) & (height == h))
+              for h in range(height.max(initial=0), 0, -1)),
+        first, ints(second), np.array(gain, dtype=float),
         ints(leaf_gen), ints(node), sign.astype(float), {},
     )
     return basis._templates
@@ -367,19 +367,21 @@ def _realised(coords: np.ndarray, slices: int) -> np.ndarray:
 def _node_angles(t: _Templates, theta: np.ndarray, basis: LieBasis) -> np.ndarray:
     """Angle of every node (see _Templates) for one slice's element coordinates theta.
 
-    Values are computed one height at a time, the largest first, for every
-    node; sqrt, products and division are correctly rounded, so they are
-    those of a node-by-node pass, bit for bit.
+    The roots take |theta| and each commutator node sets its children's
+    values, one height at a time, the largest first; sqrt, products and
+    division are correctly rounded, so they are those of a node-by-node
+    pass, bit for bit.
     """
-    value = np.zeros(len(t.parent))
+    value = np.zeros(len(t.coeff))
     value[t.node_start[:-1]] = np.abs(theta)
     quarter = math.pi * math.sqrt(basis.matrix_dim) / 4
     for nodes in t.by_height:
-        up = t.parent[nodes]
+        f, s = t.first[nodes], t.second[nodes]
         if basis.pauli:
-            value[nodes] = np.where(t.first[up] == nodes, quarter, value[up] * t.gain[nodes])
+            value[f] = quarter
+            value[s] = value[nodes] * t.gain[s]
         else:
-            value[nodes] = np.sqrt(value[up] / t.coeff[up])
+            value[f] = value[s] = np.sqrt(value[nodes] / t.coeff[nodes])
     return value / t.coeff
 
 
@@ -493,7 +495,7 @@ def _word_blocks(basis: LieBasis, gens: GeneratorSet, theta: np.ndarray):
         if basis.pauli:
             x = part / math.sqrt(n)
             yield elems, (np.cos(x)[:, None, None] * np.eye(n)
-                          + (math.sqrt(n) * np.sin(x))[:, None, None] * basis.frame[elems])
+                          + (math.sqrt(n) * np.sin(x))[:, None, None] * basis.basis[elems])
             continue
         off = part == 0
         if off.all():
@@ -513,23 +515,6 @@ def _word_blocks(basis: LieBasis, gens: GeneratorSet, theta: np.ndarray):
         words[back] = words[back].conj().transpose(0, 2, 1)
         words[off] = np.eye(n)
         yield elems, words
-
-
-def _slice_product(coords: np.ndarray, basis: LieBasis, slices: int,
-                   gens: GeneratorSet) -> Matrix:
-    """Product of one slice's word.
-
-    A slice's word is the product over realised elements of their words
-    (see _word_blocks); the merge, the period wrap and the tau_clip split of
-    _slice_items leave the product unchanged.  The words are multiplied
-    onto the identity from the last one back, as in _linearise, so the
-    two give the same product bit for bit.
-    """
-    out = np.eye(basis.matrix_dim, dtype=complex)
-    for _, words in _word_blocks(basis, gens, _realised(coords, slices)):
-        for word in words[::-1]:
-            out = word @ out
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -566,29 +551,40 @@ def _log_unitary(x: Matrix) -> Matrix:
     return (w * (2j * np.arctan(tan_half))) @ w.conj().T
 
 
-def _linearise(coords: np.ndarray, basis: LieBasis, slices: int,
-               gens: GeneratorSet) -> tuple[Matrix, np.ndarray]:
-    """The slice product W of coords and the Jacobian of c -> W at coords.
+def _frame_coords(basis: LieBasis, stack: np.ndarray) -> np.ndarray:
+    """(dim, len(stack)) frame coordinates Re tr(frame_k^dag X) = Re sum(frame_k * conj(X))."""
+    return (basis.frame.reshape(basis.dim, -1) @ stack.reshape(len(stack), -1).conj().T).real
 
-    With F_j the word of element j, S_j the product of the words after it
-    and D_j = F_j^-1 dF_j / dtheta_j, W^-1 dW / dc_j = S_j^dag D_j S_j /
-    slices; column j of the Jacobian is its frame coordinates.  An exact
-    word has D_j = b_j; a group-commutator word takes the forward difference
-    of its word at theta + _DIFF_STEP, every element of a block in one tree
-    evaluation.  Blocks run from the last element back, so the suffix S_j
-    is carried from block to block and ends as W.
+
+def _linearise(coords: np.ndarray, basis: LieBasis, slices: int, gens: GeneratorSet,
+               jacobian: bool = True) -> tuple[Matrix, np.ndarray | None]:
+    """The slice product W of coords and, with jacobian, the Jacobian of c -> W.
+
+    W is the product over realised elements of their words (see
+    _word_blocks), multiplied onto the identity from the last one back; the
+    merge, the period wrap and the tau_clip split of _slice_items leave it
+    unchanged.  With F_j the word of element j, S_j the product of the words
+    after it and D_j = F_j^-1 dF_j / dtheta_j, W^-1 dW / dc_j = S_j^dag D_j
+    S_j / slices; column j of the Jacobian is its frame coordinates.  An
+    exact word has D_j = b_j; a group-commutator word takes the forward
+    difference of its word at theta + _DIFF_STEP, every element of a block
+    in one tree evaluation.  The suffix S_j is carried from block to block
+    and ends as W, so W has the same bits without the Jacobian, which
+    forms no suffix or difference stack and returns (W, None).
     """
-    n, dim = basis.matrix_dim, basis.dim
     theta = _realised(coords, slices)
-    if not basis.pauli:
+    jac = np.empty((basis.dim, basis.dim)) if jacobian else None
+    if jacobian and not basis.pauli:
         shifted = theta + _DIFF_STEP
         moved = _word_blocks(basis, gens, shifted)
-    frame = basis.frame.reshape(dim, -1)
-    jac = np.empty((dim, dim))
-    suffix = np.eye(n, dtype=complex)
+    suffix = np.eye(basis.matrix_dim, dtype=complex)
     for elems, words in _word_blocks(basis, gens, theta):
+        if not jacobian:
+            for word in words[::-1]:
+                suffix = word @ suffix
+            continue
         if basis.pauli:
-            diff = basis.frame[elems]
+            diff = basis.basis[elems]
         else:
             diff = words.conj().transpose(0, 2, 1) @ (next(moved)[1] - words)
             diff /= (shifted - theta)[elems, None, None]
@@ -596,10 +592,8 @@ def _linearise(coords: np.ndarray, basis: LieBasis, slices: int,
         for k in range(len(words) - 1, -1, -1):
             after[k] = suffix
             suffix = words[k] @ suffix
-        cols = after.conj().transpose(0, 2, 1) @ diff @ after
-        # Re tr(frame_k^dag X) = Re sum(frame_k * conj(X))
-        jac[:, elems] = (frame @ cols.reshape(len(words), -1).conj().T).real
-    return suffix, jac / slices
+        jac[:, elems] = _frame_coords(basis, after.conj().transpose(0, 2, 1) @ diff @ after)
+    return suffix, jac / slices if jacobian else None
 
 
 def _refine_coords(plan: _Plan, slices: int) -> tuple[np.ndarray, Matrix]:
@@ -617,11 +611,10 @@ def _refine_coords(plan: _Plan, slices: int) -> tuple[np.ndarray, Matrix]:
     u, basis, gens = plan.root, plan.basis, plan.gens
     c = plan.coords
     if not plan.cfg.refine or not basis.dim:
-        return c, _slice_product(c, basis, slices, gens)
+        return c, _linearise(c, basis, slices, gens, jacobian=False)[0]
     unit, jac = _linearise(c, basis, slices, gens)
     err = phase_invariant_dist(u, np.linalg.matrix_power(unit, slices))
     v_m = (plan.vecs * np.exp(1j * plan.phases / slices)) @ plan.vecs.conj().T
-    frame = basis.frame.reshape(basis.dim, -1)
     for _ in range(_REFINE_MAX_ITER):
         if err <= _ERR_FLOOR:
             break
@@ -629,10 +622,10 @@ def _refine_coords(plan: _Plan, slices: int) -> tuple[np.ndarray, Matrix]:
             jac = _linearise(c, basis, slices, gens)[1]
         try:
             residual = _log_unitary(unit.conj().T @ v_m)
-            cand = c + np.linalg.solve(jac, (frame @ residual.conj().ravel()).real)
+            cand = c + np.linalg.solve(jac, _frame_coords(basis, residual[None])[:, 0])
         except np.linalg.LinAlgError:
             break
-        unit_cand = _slice_product(cand, basis, slices, gens)
+        unit_cand = _linearise(cand, basis, slices, gens, jacobian=False)[0]
         err_cand = phase_invariant_dist(u, np.linalg.matrix_power(unit_cand, slices))
         if err_cand >= err:
             break

@@ -68,14 +68,14 @@ class LieBasis:
     recipes[i] is a leaf in generation 0, else a commutator of two earlier
     elements, one of the generation before: the tree of element i has
     height generations[i], and scales and tree values take one forward pass.
-    On the Pauli path keys[k] is the string key (x << n) | z of element k,
-    basis[k] is a view of row k of the frame, one (dim, N, N) stack, and no
-    tri is stored: it reads as the identity.  Otherwise basis[k] is a view
-    of row k of one (dim, N, N) basis stack, apart from the frame.
+    basis is the (dim, N, N) element array, basis[k] element k.  On the
+    Pauli path it is the frame itself, keys[k] is the string key
+    (x << n) | z of element k, and no tri is stored: it reads as the
+    identity.  Otherwise the frame is a separate (dim, N, N) array.
     """
     matrix_dim: int
     generator_matrices: dict[str, Matrix]
-    basis: list[Matrix] = field(default_factory=list)
+    basis: np.ndarray = field(default_factory=lambda: np.empty((0, 0, 0), dtype=complex))
     recipes: list[Recipe] = field(default_factory=list)
     generations: list[int] = field(default_factory=list)
     # orthonormal frame with basis[m] = sum_k tri[k, m] * frame[k], k <= m
@@ -113,9 +113,6 @@ class LieBasis:
     def tri(self, value: np.ndarray | None) -> None:
         self._tri = value
 
-    def stacked(self) -> np.ndarray:
-        return np.stack(self.basis)
-
     def depth(self, i: int) -> int:
         """Height of element i's recipe tree, its generation."""
         return self.generations[i]
@@ -152,7 +149,6 @@ class LieBasis:
             return max((frob_norm(v / scale - b)
                         for v, scale, b in zip(raw, scales, self.basis)), default=0.0)
         n_dim = self.matrix_dim
-        n = n_dim.bit_length() - 1
         x, z = np.divmod(self.keys, n_dim)
         xs, zs = x.tolist(), z.tolist()
         tree: list[complex] = []
@@ -168,7 +164,7 @@ class LieBasis:
             quotients.append((v / scale)[0])
         diff = np.array(quotients, dtype=complex) - self.frame[np.arange(self.dim), x, 0]
         col = np.arange(n_dim)
-        walsh = 1.0 - 2 * _parity(col[:, None] & col, n)
+        walsh = _walsh(n_dim)
         worst = 0.0
         for k in np.flatnonzero(diff):
             m = np.zeros((n_dim, n_dim), dtype=complex)
@@ -201,6 +197,12 @@ def _parity(a: np.ndarray, width: int) -> np.ndarray:
     return a & 1
 
 
+def _walsh(n_dim: int) -> np.ndarray:
+    """The (N, N) signs (-1)^(z.c) as floats, row z and column c, for N = 2^n."""
+    col = np.arange(n_dim)
+    return 1.0 - 2 * _parity(col[:, None] & col, n_dim.bit_length() - 1)
+
+
 def _pauli_keys(mats: np.ndarray) -> np.ndarray | None:
     """Packed keys (x << n) | z of generators that are each exactly s * X^x Z^z.
 
@@ -221,9 +223,8 @@ def _pauli_keys(mats: np.ndarray) -> np.ndarray | None:
     s = vals[:, :1]
     bits = 1 << np.arange(n)
     z = (vals[:, bits] != s).dot(bits)
-    signs = 1 - 2 * _parity(z[:, None] & c, n)
     # every nonzero entry sits on the pattern, and each equals s (-1)^(z.c)
-    if np.count_nonzero(vals) != m * n_dim or not (vals == s * signs).all():
+    if np.count_nonzero(vals) != m * n_dim or not (vals == s * _walsh(n_dim)[z]).all():
         return None
     return (x << n) | z
 
@@ -376,8 +377,7 @@ def _pauli_sweep(out: LieBasis, ids: list[str], mats: np.ndarray, gen_keys: np.n
 
     odd = _parity(np.arange(cap), 2 * n).astype(bool)
     col = np.arange(n_dim)
-    # row z: (-1)^(z.c) over the columns c
-    walsh = 1.0 - 2 * _parity(col[:, None] & col, n)
+    walsh = _walsh(n_dim)
     step = max(1, _ROW_BYTES // (buf.itemsize * cap))   # rows normalised at once
 
     def fill(i: np.ndarray, j: np.ndarray, base: int) -> np.ndarray:
@@ -388,8 +388,7 @@ def _pauli_sweep(out: LieBasis, ids: list[str], mats: np.ndarray, gen_keys: np.n
             # a fresh calloc'd stack, whose pages the kernel zeroes on first
             # write (a resize would memset its new rows); past a quarter of
             # the stop, straight to the stop, so that the old and the new
-            # stack together stay under 1.25 stops.  The basis views are
-            # taken once the sweep ends
+            # stack together stay under 1.25 stops
             size = min(max(2 * len(buf), end), cap)
             grown = np.zeros((max(stop, end) if 4 * size > stop else size, n_dim, n_dim),
                              dtype=complex)
@@ -477,8 +476,7 @@ def _pauli_sweep(out: LieBasis, ids: list[str], mats: np.ndarray, gen_keys: np.n
         frontier = np.arange(start, k)
 
     buf.resize((k, n_dim, n_dim), refcheck=False)
-    out.frame = buf
-    out.basis = list(buf)
+    out.frame = out.basis = buf
     out.keys = keys[:k].copy()
 
 
@@ -559,7 +557,7 @@ def _dense_sweep(out: LieBasis, ids: list[str], mats: np.ndarray, thresh: float)
 
     for a in (stack, buf):
         a.resize((k, n_dim, n_dim), refcheck=False)
-    out.basis = list(stack)
+    out.basis = stack
     out.frame = buf
     out.tri = coords[:k, :k].T.copy()
 
@@ -632,12 +630,16 @@ def dimension_table(max_n: int = 3, families: tuple[str, ...] | None = None) -> 
     and whether the closure spans the full traceless algebra.  A u(N)
     prediction matches a closure that spans su(N): commutators are
     traceless, so the closure plus the centre i*I is the u(N) count.
-    max_n below 1 is refused with ValueError.
+    max_n below 1, and a selected name that is no family with a
+    prediction, are refused with ValueError.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
     selected = {label: family for label, family in _BUILDERS.items()
                 if family.predicted and (not families or label in families)}
+    missing = [label for label in families or () if label not in selected]
+    if missing:
+        raise ValueError(f"no closure prediction to tabulate for {', '.join(map(repr, missing))}")
     if any(family.pinned for family in selected.values()):
         # the largest side the n sweep would build, and its closure frame,
         # refused before any case is listed

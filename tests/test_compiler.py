@@ -11,8 +11,8 @@ from liegates.compiler import (
     CompileConfig,
     GateSequence,
     _eig_table,
+    _linearise,
     _slice_items,
-    _slice_product,
     _word_product,
     compile,
     compile_report,
@@ -532,7 +532,7 @@ def test_slice_product_matches_flat_word(monkeypatch, tree_bytes):
     monkeypatch.setattr(compiler_mod, "_TREE_BYTES", tree_bytes)
     cfg = CompileConfig()
     for gens, basis, coords, slices in _oracle_cases():
-        product = _slice_product(coords, basis, slices, gens)
+        product = _linearise(coords, basis, slices, gens, jacobian=False)[0]
         flat = _word_product(_eig_table(gens), *_slice_items(coords, basis, slices, gens, cfg))
         assert np.max(np.abs(product - flat)) <= 1e-12
 
@@ -589,7 +589,7 @@ def _in_algebra(label, n, seed, scale=1.0):
     """exp of a random element of the closure of a family at l = 2."""
     basis = _closed(label, n)[1]
     coords = np.random.default_rng(seed).normal(scale=scale, size=basis.dim)
-    return expm_antiherm(np.tensordot(coords, basis.stacked(), axes=1))
+    return expm_antiherm(np.tensordot(coords, basis.basis, axes=1))
 
 
 @pytest.mark.parametrize("family, target, cfg, split", [
@@ -688,10 +688,10 @@ def test_slice_product_memory_is_bounded(monkeypatch):
     gens = build_family("torus_two_local", 2, 3)
     basis = closure(gens)
     coords = np.random.default_rng(12).normal(scale=0.3, size=basis.dim)
-    tree = _slice_product(coords, basis, 8, gens)   # builds the cached tables
+    tree = _linearise(coords, basis, 8, gens, jacobian=False)[0]   # builds the cached tables
     tracemalloc.start()
     try:
-        again = _slice_product(coords, basis, 8, gens)
+        again = _linearise(coords, basis, 8, gens, jacobian=False)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -773,7 +773,7 @@ def test_slice_product_is_bit_identical_across_budgets(monkeypatch, label, n, l)
     runs = []
     for tree_bytes in (compiler_mod._TREE_BYTES, 1):
         monkeypatch.setattr(compiler_mod, "_TREE_BYTES", tree_bytes)
-        runs.append((_slice_product(coords, basis, 2, gens),
+        runs.append((_linearise(coords, basis, 2, gens, jacobian=False)[0],
                      *compiler_mod._linearise(coords, basis, 2, gens)))
     (product, unit, jac), (product_1, unit_1, jac_1) = runs
     assert np.array_equal(product, product_1)
@@ -807,7 +807,7 @@ def test_jacobian_matches_a_difference_of_slice_products(label, n, l):
     coords = np.random.default_rng(45).normal(scale=0.5, size=basis.dim)
     coords[::7] = 0.0
     unit, jac = compiler_mod._linearise(coords, basis, 2, gens)
-    assert np.array_equal(unit, _slice_product(coords, basis, 2, gens))
+    assert np.array_equal(unit, _linearise(coords, basis, 2, gens, jacobian=False)[0])
     frame = basis.frame.reshape(basis.dim, -1)
     eps = 1e-5
     for j in range(basis.dim):
@@ -817,9 +817,28 @@ def test_jacobian_matches_a_difference_of_slice_products(label, n, l):
         for sign in (1, -1):
             moved = coords.copy()
             moved[j] += sign * eps
-            logs.append(logm_unitary(unit.conj().T @ _slice_product(moved, basis, 2, gens)))
+            moved_unit = _linearise(moved, basis, 2, gens, jacobian=False)[0]
+            logs.append(logm_unitary(unit.conj().T @ moved_unit))
         column = (frame.conj() @ (logs[0] - logs[1]).ravel()).real / (2 * eps)
         assert np.max(np.abs(column - jac[:, j])) <= (1e-9 if gens.l == 2 else 1e-5)
+
+
+@pytest.mark.parametrize("label, n, l", [("torus_two_local", 2, 3), ("clifford_two_local", 3, 2)])
+def test_product_alone_forms_no_jacobian(monkeypatch, label, n, l):
+    # without the Jacobian one tree evaluation is made, not the shifted one too
+    gens, basis = _closed(label, n, l)
+    coords = _coords_with_zeros(basis, 49)
+    calls = []
+    orig = compiler_mod._word_blocks
+
+    def counting(*args):
+        calls.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(compiler_mod, "_word_blocks", counting)
+    unit, jac = _linearise(coords, basis, 2, gens, jacobian=False)
+    assert jac is None and len(calls) == 1
+    assert np.array_equal(unit, _linearise(coords, basis, 2, gens)[0])
 
 
 def test_residual_logarithm_matches_the_principal_one():
