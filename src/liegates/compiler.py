@@ -79,15 +79,16 @@ from .errors import (
     UnknownGeneratorError,
 )
 from .generators import GeneratorSet
-from .lieclosure import LieBasis, membership
+from .lieclosure import LieBasis, _membership
 from .linalg import (
     Matrix,
+    _herm_eig,
+    _unitary_eig,
     as_matrix,
     frob_norm,
     herm_eig,
     is_unitary,
     phase_invariant_dist,
-    unitary_eig,
 )
 
 
@@ -547,7 +548,7 @@ def _log_unitary(x: Matrix) -> Matrix:
     """
     eye = np.eye(len(x))
     cayley = 1j * np.linalg.solve((eye + x).T, (eye - x).T).T
-    tan_half, w = herm_eig((cayley + cayley.conj().T) / 2)
+    tan_half, w = _herm_eig((cayley + cayley.conj().T) / 2)
     return (w * (2j * np.arctan(tan_half))) @ w.conj().T
 
 
@@ -661,7 +662,7 @@ def _plan(u, gens: GeneratorSet, basis: LieBasis, cfg: CompileConfig) -> _Plan:
         raise FamilyMismatchError("generator ids differ from the basis's, or their order")
     if not is_unitary(m):
         raise MatrixPropertyError("compile requires a unitary target")
-    phases, vecs = unitary_eig(m)
+    phases, vecs = _unitary_eig(m)
     copies, root = 1, m
     if np.any(math.pi - np.abs(phases) < DEFAULTS.branch_warn_margin):
         # compile the principal square root and emit it twice, avoiding the
@@ -671,7 +672,7 @@ def _plan(u, gens: GeneratorSet, basis: LieBasis, cfg: CompileConfig) -> _Plan:
     # the trace part of the logarithm is a global phase
     phases = phases - phases.mean()
     log = (vecs * (1j * phases)) @ vecs.conj().T
-    res = membership((log - log.conj().T) / 2, basis)
+    res = _membership((log - log.conj().T) / 2, basis)
     if not res.member:
         raise NotMemberError(res.residual, "target logarithm lies outside the generated "
                              f"algebra (residual {res.residual:.6g})")

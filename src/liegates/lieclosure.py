@@ -578,6 +578,11 @@ def membership(a, basis: LieBasis) -> MembershipResult:
         )
     if not is_anti_hermitian(m):
         raise MatrixPropertyError("membership requires an anti-Hermitian matrix")
+    return _membership(m, basis)
+
+
+def _membership(m: Matrix, basis: LieBasis) -> MembershipResult:
+    """membership without its checks: m is finite, anti-Hermitian and of the basis's size."""
     if basis.dim == 0:
         res = frob_norm(m)
         return MembershipResult(res == 0.0, np.zeros(0), res)

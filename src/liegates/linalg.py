@@ -5,6 +5,14 @@ Tensor products, brackets, the Frobenius pairing, a Hermitian eigensolver
 phase and order) and the matrix exponential / principal logarithm pair
 used for unitary synthesis.  All functions are pure: inputs are never
 mutated and there is no shared state.
+
+Input is validated once, at the public edge: every public function checks
+shape, finiteness and the matrix property it needs, and raises
+DimensionMismatchError or MatrixPropertyError.  The eigensolvers' private
+cores `_herm_eig` and `_unitary_eig` trust their caller: the public
+functions call them after their own checks, and the compiler calls them
+on matrices it checked or built itself (its target, a Cayley transform).
+A core never raises a validation error.
 """
 
 from __future__ import annotations
@@ -157,15 +165,18 @@ def _descending_order(values: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _canonical_columns(w: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant entry is real positive."""
-    w = w.copy()
-    for j in range(w.shape[1]):
-        col = w[:, j]
-        idx = np.flatnonzero(np.abs(col) > 1e-8)
-        if idx.size:
-            pivot = col[idx[0]]
-            col *= np.conj(pivot) / abs(pivot)
-    return w
+    """Rotate each column so its first significant entry is real positive.
+
+    One multiply rotates every column.  Each column's unit factor
+    conj(p) / abs(p) takes the scalar abs of its pivot p: numpy's array
+    abs can round it one ulp differently.
+    """
+    big = np.abs(w) > 1e-8
+    pivots = w[big.argmax(axis=0), np.arange(w.shape[1])]
+    units = np.ones(w.shape[1], dtype=complex)
+    for j in np.flatnonzero(big.any(axis=0)):
+        units[j] = np.conj(pivots[j]) / abs(pivots[j])
+    return w * units
 
 
 def herm_eig(h) -> tuple[np.ndarray, Matrix]:
@@ -178,8 +189,13 @@ def herm_eig(h) -> tuple[np.ndarray, Matrix]:
     m = as_matrix(h)
     if not is_hermitian(m):
         raise MatrixPropertyError("herm_eig requires a Hermitian matrix")
+    return _herm_eig(m)
+
+
+def _herm_eig(h: Matrix) -> tuple[np.ndarray, Matrix]:
+    """herm_eig without its checks: h is finite and Hermitian to hermitian_tol."""
     try:
-        lam, v = np.linalg.eigh((m + dagger(m)) / 2.0)
+        lam, v = np.linalg.eigh((h + dagger(h)) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"herm_eig: {exc}") from None
     v = _canonical_columns(v)
@@ -197,10 +213,15 @@ def unitary_eig(u) -> tuple[np.ndarray, Matrix]:
     m = as_matrix(u)
     if not is_unitary(m):
         raise MatrixPropertyError("unitary_eig requires a unitary matrix")
+    return _unitary_eig(m)
+
+
+def _unitary_eig(m: Matrix) -> tuple[np.ndarray, Matrix]:
+    """unitary_eig without its checks: m is finite and unitary to unitary_tol."""
     n = m.shape[0]
     re_part = (m + dagger(m)) / 2.0
     im_part = (m - dagger(m)) / 2.0j
-    lam, w = herm_eig(re_part)
+    lam, w = _herm_eig(re_part)
 
     # Conjugate phase pairs share the cosine, so near-ties in lam hide
     # well-separated phases; diagonalising the sine part inside each
@@ -214,7 +235,7 @@ def unitary_eig(u) -> tuple[np.ndarray, Matrix]:
         if stop - start > 1:
             block = w[:, start:stop]
             sub = dagger(block) @ im_part @ block
-            _, wb = herm_eig((sub + dagger(sub)) / 2.0)
+            _, wb = _herm_eig((sub + dagger(sub)) / 2.0)
             w[:, start:stop] = block @ wb
         start = stop
 
@@ -236,7 +257,7 @@ def expm_antiherm(a) -> Matrix:
     m = as_matrix(a)
     if not is_anti_hermitian(m):
         raise MatrixPropertyError("expm_antiherm requires an anti-Hermitian matrix")
-    lam, w = herm_eig(-1j * m)
+    lam, w = _herm_eig(-1j * m)
     return (w * np.exp(1j * lam)) @ dagger(w)
 
 

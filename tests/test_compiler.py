@@ -29,9 +29,12 @@ from liegates.errors import (
     UnknownGeneratorError,
 )
 from liegates.generators import (
+    ANTI_HERMITIAN,
     FAMILIES,
+    Generator,
     GeneratorSet,
     clifford_gammas,
+    torus_T,
     two_local_clifford_set,
     two_local_torus_set,
 )
@@ -239,9 +242,31 @@ def test_non_universal_set_rejects(gamma_only):
 
 
 def test_compile_validates_input(two_local):
+    # the target is checked once, at the public edge; the eigensolver behind it trusts it
     gens, basis = two_local
+    nan_target = np.eye(4, dtype=complex)
+    nan_target[0, 3] = np.nan
+    for target in (2 * np.eye(4), CNOT + 1e-6, nan_target):
+        with pytest.raises(MatrixPropertyError):
+            compile(target, gens, basis)
+        with pytest.raises(MatrixPropertyError):
+            compile_report(target, gens, basis, (1, 2))
+
+
+def test_gate_table_refuses_a_generator_herm_eig_refuses():
+    # torus_T's generators are unitary, not anti-Hermitian: -i T is not Hermitian
+    gens = torus_T(1, 3)
     with pytest.raises(MatrixPropertyError):
-        compile(2 * np.eye(4), gens, basis)
+        gate_matrix(gens, "T0", 0.1)
+    with pytest.raises(MatrixPropertyError):
+        evaluate([("T0", 0.1)], gens)
+    # a non-finite entry anywhere in the set refuses every gate of it
+    nan = np.array([[0, np.nan], [-1, 0]], dtype=complex)
+    gens = GeneratorSet("user", 1, 2, [Generator("Z", 1j * SZ, 1, ANTI_HERMITIAN),
+                                       Generator("bad", nan, 1, ANTI_HERMITIAN)])
+    for gen_id in ("Z", "bad"):
+        with pytest.raises(MatrixPropertyError):
+            gate_matrix(gens, gen_id, 0.1)
 
 
 def test_depth_budget(two_local):
@@ -291,8 +316,8 @@ def test_target_analysed_once_per_call(two_local, monkeypatch):
     # (one eigendecomposition gives the root, the logarithm and every V_m)
     gens, basis = two_local
     calls = []
-    eig = compiler_mod.unitary_eig
-    monkeypatch.setattr(compiler_mod, "unitary_eig", lambda u: calls.append(1) or eig(u))
+    eig = compiler_mod._unitary_eig
+    monkeypatch.setattr(compiler_mod, "_unitary_eig", lambda u: calls.append(1) or eig(u))
     compile_report(CNOT, gens, basis, (1, 2, 4, 8))
     assert len(calls) == 1
     calls.clear()

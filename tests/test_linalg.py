@@ -12,10 +12,11 @@ from liegates.errors import (
     DimensionMismatchError,
     MatrixPropertyError,
 )
-from liegates.generators import clifford_gammas, tau, torus_T, weyl_pair
+from liegates.generators import ANTI_HERMITIAN, FAMILIES, clifford_gammas, tau, torus_T, weyl_pair
 from liegates.lieclosure import closure
 from liegates.linalg import (
     _canonical_columns,
+    _descending_order,
     anticommutator,
     commutator,
     error_metrics,
@@ -270,6 +271,76 @@ def test_unitary_eig_order_matches_tuple_sort():
 def test_herm_eig_rejects_non_hermitian():
     with pytest.raises(MatrixPropertyError):
         herm_eig(1j * SX)
+
+
+@pytest.mark.parametrize("solver", [herm_eig, unitary_eig])
+def test_eigensolvers_reject_nan(solver):
+    m = np.eye(3, dtype=complex)
+    m[1, 2] = np.nan
+    with pytest.raises(MatrixPropertyError):
+        solver(m)
+
+
+def _column_loop_canonical(w):
+    """Reference: each column rotated in place by its own unit factor, one at a time."""
+    w = w.copy()
+    for j in range(w.shape[1]):
+        col = w[:, j]
+        idx = np.flatnonzero(np.abs(col) > 1e-8)
+        if idx.size:
+            pivot = col[idx[0]]
+            col *= np.conj(pivot) / abs(pivot)
+    return w
+
+
+FAMILY_CASES = [(label, n, l) for label, family in FAMILIES.items() for n in (1, 2) for l in (2, 3)
+                if all(family.pinned.get(k, v) == v and v >= family.least[k]
+                       for k, v in (("n", n), ("l", l)))]
+SEEDED_KINDS = ("random", "small", "near_diagonal")
+
+
+def _family_hermitians(label, n, l):
+    """-i A for each anti-Hermitian generator of the family, else A + A^dag."""
+    for el in FAMILIES[label].build(n, l).elements:
+        a = el.matrix
+        yield -1j * a if el.hermiticity == ANTI_HERMITIAN else a + a.conj().T
+
+
+def _seeded_hermitian(kind, dim, k):
+    """A random Hermitian matrix of size dim; "small" scales it to 1e-12, and
+    "near_diagonal" has eigenvectors with entries near the 1e-8 pivot cut."""
+    rng = np.random.default_rng([24, dim, k])
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h = (g + g.conj().T) / 2
+    if kind == "small":
+        return 1e-12 * h
+    if kind == "near_diagonal":
+        return np.diag(np.arange(dim) + 1.0) + 1e-8 * h
+    return h
+
+
+def _assert_core_bits(h):
+    # one vectorised multiply rotates what the per-column loop rotated
+    lam, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+    ref = _column_loop_canonical(v)
+    assert _canonical_columns(v).tobytes() == ref.tobytes()
+    order = _descending_order(lam, ref)
+    lam_h, w_h = herm_eig(h)
+    assert lam_h.tobytes() == lam[order].tobytes()
+    assert w_h.tobytes() == ref[:, order].tobytes()
+
+
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_core_bits_on_seeded_hermitians(dim):
+    for kind in SEEDED_KINDS:
+        for k in range(3):
+            _assert_core_bits(_seeded_hermitian(kind, dim, k))
+
+
+@pytest.mark.parametrize("label, n, l", FAMILY_CASES)
+def test_core_bits_on_family_generators(label, n, l):
+    for h in _family_hermitians(label, n, l):
+        _assert_core_bits(h)
 
 
 def test_expm_zero_and_pauli():

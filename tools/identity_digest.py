@@ -1,4 +1,4 @@
-"""Print one SHA-256 per closure, membership and CLI record, to prove byte identity.
+"""Print one SHA-256 per closure, membership, eigensolver and CLI record, to prove byte identity.
 
 Run it once against each source tree and diff the two outputs; equal lines
 mean equal bytes:
@@ -34,6 +34,15 @@ L3 = [("torus_splits", 1, 3), ("torus_splits", 1, 4), ("torus_splits", 2, 3),
       ("torus_two_local", 2, 3)]
 COMPILED = L3 + [("clifford_plus_u", 2, 2), ("clifford_two_local", 3, 2)]
 MEMBER_BASES = L3 + [("torus_splits", 2, 4), ("clifford_plus_u", 4, 2)]
+# target-error climbs with multi-step Newton solves, a slice sweep and the self checks
+LADDER = [["compile", "--family", "clifford_two_local", "--n", "2", "--target-error", "1e-8",
+           "--seed", str(seed)] for seed in (1, 2, 3, 4)]
+RUNS = LADDER + [
+    ["compile", "--family", "torus_two_local", "--n", "2", "--l", "3", "--seed", "1",
+     "--sweep", "1", "2", "4", "8"],
+    ["verify", "--self", "--seed", "0"],
+]
+EIG_DIMS = (2, 3, 4, 8, 9, 16)
 
 
 def digest(*parts) -> str:
@@ -52,6 +61,20 @@ def closure_digest(basis) -> str:
                   float(basis.max_recipe_residual()).hex(), keys)
 
 
+def eig_inputs(rng: np.random.Generator, random_unitary):
+    """(solver, dim, spectrum, matrix): seeded Hermitian and unitary matrices.
+
+    The tied ones are I_2 (x) m, whose eigenvalues repeat exactly at most dimensions.
+    """
+    for dim in EIG_DIMS:
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        h = (g + g.conj().T) / 2
+        u = random_unitary(dim, rng)
+        for spectrum, lift in (("distinct", np.eye(1)), ("tied", np.eye(2))):
+            yield "herm_eig", dim, spectrum, np.kron(lift, h)
+            yield "unitary_eig", dim, spectrum, np.kron(lift, u)
+
+
 def cli_digest(run, argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -66,6 +89,7 @@ def main() -> None:
     sys.path.insert(0, args.src)
     from liegates.cli import run
     from liegates.lieclosure import build_family, closure, dimension_table, membership
+    from liegates import linalg
 
     rows = [(r["family"], r["n"], r["l"]) for r in dimension_table(max_n=3)]
     cases = [(case, tol) for case in rows + EXTRA for tol in TOLS] + [(c, None) for c in SLOW]
@@ -92,6 +116,12 @@ def main() -> None:
             argv = ["compile", "--family", label, "--n", str(n), "--l", str(l),
                     "--seed", str(seed)]
             print("cli", *argv, cli_digest(run, argv))
+    for argv in RUNS:
+        print("cli", *argv, cli_digest(run, argv))
+
+    for solver, dim, spectrum, m in eig_inputs(np.random.default_rng(11), linalg.random_unitary):
+        print(solver, dim, spectrum,
+              digest(*(part.tobytes() for part in getattr(linalg, solver)(m))))
 
 
 if __name__ == "__main__":
