@@ -46,13 +46,14 @@ word at the positive one, and a commutator node is P_L P_R P_L^dag P_R^dag
 its commutator trees for refinement and reports, with or without the
 Jacobian: each leaf is exponentiated once and each tree height formed in
 stacked products, in blocks of elements with a bounded node stack.  The
-plan of that work depends only on the basis and the block budget
-_TREE_BYTES, so it is built once per pair and cached with the basis's
-templates: the block bounds and, per block, the node count, the leaves
-ordered by generator, per tree height the stack positions of each node
-and its two children, and the positions of the roots.  Words stay arrays
-of generator table rows and angles; (id, tau)
-pairs are built once, for the returned GateSequence.  `evaluate` is the
+plan of that work depends only on the basis, so it is built once per
+basis, with its templates, at the block budget _TREE_BYTES: the block
+bounds and, per block, the node count, the leaves ordered by generator,
+per tree height the stack positions of each node and its two children,
+and the positions of the roots.  The Newton residual and every Jacobian
+column take their coordinates only through LieBasis.coords.  Words stay
+arrays of generator table rows and angles; (id, tau) pairs are built
+once, for the returned GateSequence.  `evaluate` is the
 flat reference: it multiplies any sequence 256 gates at a time.  Its gates
 and the tree leaves come from one kernel, one generator's run of gates at
 a time: a closed form cos(c tau) I + sin(c tau) / c A for a generator
@@ -63,6 +64,7 @@ cached eigenbasis.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -92,6 +94,12 @@ from .linalg import (
 )
 
 
+def _check_integer(name: str, value) -> None:
+    """Refuse a count that is not an integer, numpy's included, with ValueError."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CompileConfig:
     slices: int = 1
@@ -102,6 +110,8 @@ class CompileConfig:
     merge: bool = False
 
     def __post_init__(self):
+        _check_integer("slices", self.slices)
+        _check_integer("max_commutator_depth", self.max_commutator_depth)
         if self.slices < 1:
             raise ValueError("slices must be at least 1")
         if self.max_commutator_depth < 0:
@@ -256,7 +266,8 @@ def merge_adjacent(items: list[tuple[str, float]]) -> list[tuple[str, float]]:
 # recipe realisation
 # ---------------------------------------------------------------------------
 
-# bytes of one block's node stack in _linearise: at N = 16, 256 nodes
+# bytes of one block's node stack in _linearise: at N = 16, 256 nodes.  Read
+# once per basis, when _templates builds its block plan
 _TREE_BYTES = 1 << 20
 
 
@@ -283,7 +294,8 @@ class _Templates(NamedTuple):
       child.  P_k = P_f P_s P_f^dag realises exp(theta b_j).
 
     A negative theta realises P^dag: the element's word read backwards
-    with every sign flipped.
+    with every sign flipped.  blocks is the plan _word_blocks walks, built
+    with the templates at the budget _TREE_BYTES held then.
     """
     node_start: np.ndarray  # (dim + 1,) first node of each element
     word_start: np.ndarray  # (dim + 1,) first word entry of each element
@@ -296,11 +308,11 @@ class _Templates(NamedTuple):
     leaf_gen: np.ndarray    # generator table row of a leaf node, -1 elsewhere
     node: np.ndarray        # leaf node of each word entry (positive theta)
     sign: np.ndarray        # +1 or -1 per entry, times the leaf's angle
-    plans: dict             # _TREE_BYTES -> the _Block plans of _word_blocks
+    blocks: tuple           # the _Block plans of _word_blocks, at _TREE_BYTES
 
 
 def _templates(basis: LieBasis) -> _Templates:
-    """The templates of every element, built on the first compile against the basis."""
+    """Every element's templates and block plan, built on the first compile against the basis."""
     if basis._templates is not None:
         return basis._templates
     for i, rec in enumerate(basis.recipes):
@@ -342,13 +354,14 @@ def _templates(basis: LieBasis) -> _Templates:
         return np.array(values, dtype=np.intp)
 
     first, height = ints(first), ints(height)
-    basis._templates = _Templates(
+    t = _Templates(
         ints(node_start), ints(word_start), np.array(coeff, dtype=float), height,
         tuple(np.flatnonzero((first >= 0) & (height == h))
               for h in range(height.max(initial=0), 0, -1)),
         first, ints(second), np.array(gain, dtype=float),
-        ints(leaf_gen), ints(node), sign.astype(float), {},
+        ints(leaf_gen), ints(node), sign.astype(float), (),
     )
+    basis._templates = t._replace(blocks=_plan_blocks(t, basis, _TREE_BYTES))
     return basis._templates
 
 
@@ -437,14 +450,6 @@ class _Block(NamedTuple):
     roots: np.ndarray | None = None   # position of each element's root
 
 
-def _blocks(basis: LieBasis) -> tuple[_Block, ...]:
-    """The block plans of the basis at the current _TREE_BYTES, built once per value."""
-    t = _templates(basis)
-    if _TREE_BYTES not in t.plans:
-        t.plans[_TREE_BYTES] = _plan_blocks(t, basis, _TREE_BYTES)
-    return t.plans[_TREE_BYTES]
-
-
 def _plan_blocks(t: _Templates, basis: LieBasis, tree_bytes: int) -> tuple[_Block, ...]:
     """Elements in greedy blocks of at most tree_bytes of stacked matrices (or
     one element), each with its stack's plan: an exact element counts one
@@ -491,7 +496,7 @@ def _word_blocks(basis: LieBasis, gens: GeneratorSet, theta: np.ndarray):
     """
     n, t = basis.matrix_dim, _templates(basis)
     angle = None
-    for b in reversed(_blocks(basis)):
+    for b in reversed(t.blocks):
         elems, part = slice(b.lo, b.hi), theta[b.lo:b.hi]
         if basis.pauli:
             x = part / math.sqrt(n)
@@ -552,11 +557,6 @@ def _log_unitary(x: Matrix) -> Matrix:
     return (w * (2j * np.arctan(tan_half))) @ w.conj().T
 
 
-def _frame_coords(basis: LieBasis, stack: np.ndarray) -> np.ndarray:
-    """(dim, len(stack)) frame coordinates Re tr(frame_k^dag X) = Re sum(frame_k * conj(X))."""
-    return (basis.frame.reshape(basis.dim, -1) @ stack.reshape(len(stack), -1).conj().T).real
-
-
 def _linearise(coords: np.ndarray, basis: LieBasis, slices: int, gens: GeneratorSet,
                jacobian: bool = True) -> tuple[Matrix, np.ndarray | None]:
     """The slice product W of coords and, with jacobian, the Jacobian of c -> W.
@@ -593,7 +593,7 @@ def _linearise(coords: np.ndarray, basis: LieBasis, slices: int, gens: Generator
         for k in range(len(words) - 1, -1, -1):
             after[k] = suffix
             suffix = words[k] @ suffix
-        jac[:, elems] = _frame_coords(basis, after.conj().transpose(0, 2, 1) @ diff @ after)
+        jac[:, elems] = basis.coords(after.conj().transpose(0, 2, 1) @ diff @ after)
     return suffix, jac / slices if jacobian else None
 
 
@@ -623,7 +623,7 @@ def _refine_coords(plan: _Plan, slices: int) -> tuple[np.ndarray, Matrix]:
             jac = _linearise(c, basis, slices, gens)[1]
         try:
             residual = _log_unitary(unit.conj().T @ v_m)
-            cand = c + np.linalg.solve(jac, _frame_coords(basis, residual[None])[:, 0])
+            cand = c + np.linalg.solve(jac, basis.coords(residual[None])[:, 0])
         except np.linalg.LinAlgError:
             break
         unit_cand = _linearise(cand, basis, slices, gens, jacobian=False)[0]
@@ -756,10 +756,17 @@ def compile_report(u, gens: GeneratorSet, basis: LieBasis,
     square_root_split when the target was split into two copies of its
     principal square root; its gate_count is then that of 2 * slices slices.
     A slice count whose word would pass _MAX_GATES gates is refused with
-    CapacityError, as in compile.
+    CapacityError, as in compile.  The sweep takes its slice counts from
+    m_values alone: a cfg with slices other than 1 or a target_error is
+    refused with ValueError, as is a slice count that is not an integer.
     """
     cfg = cfg or CompileConfig()
+    if cfg.slices != 1 or cfg.target_error is not None:
+        raise ValueError("compile_report sweeps m_values; cfg.slices and cfg.target_error "
+                         "do not apply")
     m_values = DEFAULTS.m_sweep if m_values is None else tuple(m_values)
+    for m in m_values:
+        _check_integer("slices", m)
     if any(m < 1 for m in m_values):
         raise ValueError("slices must be at least 1")
     plan = _plan(u, gens, basis, cfg)

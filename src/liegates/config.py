@@ -7,8 +7,8 @@ a bare --sweep runs m_sweep).  In the library, `closure(gens, tol)`,
 `tol` of the `is_hermitian`, `is_anti_hermitian` and `is_unitary`
 predicates take a per-call value; every other default is fixed, and no
 environment variables are consulted.  dim_cap is read only by
-`linalg.check_capacity`, which runs before any dense allocation sized
-from input.
+`linalg.check_capacity` and `linalg.check_stack`, which run before any
+dense allocation sized from input.
 """
 
 from dataclasses import dataclass

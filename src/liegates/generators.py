@@ -58,6 +58,8 @@ class GeneratorSet:
     _eig_table: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.elements:
+            raise FamilyMismatchError("a generator set needs at least one generator")
         dims = {el.matrix.shape[0] for el in self.elements}
         if len(dims) > 1:
             raise FamilyMismatchError(f"mixed matrix dimensions {sorted(dims)}")

@@ -72,6 +72,9 @@ class LieBasis:
     Pauli path it is the frame itself, keys[k] is the string key
     (x << n) | z of element k, and no tri is stored: it reads as the
     identity.  Otherwise the frame is a separate (dim, N, N) array.
+    coords is the one map to frame coordinates the compiler uses, for its
+    Newton residual and Jacobian columns; membership still projects on
+    the frame with its own einsum.
     """
     matrix_dim: int
     generator_matrices: dict[str, Matrix]
@@ -112,6 +115,10 @@ class LieBasis:
     @tri.setter
     def tri(self, value: np.ndarray | None) -> None:
         self._tri = value
+
+    def coords(self, stack: np.ndarray) -> np.ndarray:
+        """(dim, len(stack)) frame coordinates Re tr(frame_k^dag X) = Re sum(frame_k * conj(X))."""
+        return (self.frame.reshape(self.dim, -1) @ stack.reshape(len(stack), -1).conj().T).real
 
     def depth(self, i: int) -> int:
         """Height of element i's recipe tree, its generation."""

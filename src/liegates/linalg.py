@@ -113,6 +113,19 @@ def check_capacity(side: int, power: int = 1) -> None:
             raise CapacityError(f"matrix dimension {size} exceeds cap {cap}")
 
 
+def check_stack(count: int, side: int) -> None:
+    """Refuse a stack of count side x side matrices holding more than cap^2 entries.
+
+    cap^2 is the entry count of the largest frame a closure may hold, cap
+    rows of cap entries.
+    """
+    cap = DEFAULTS.dim_cap
+    entries = count * side * side
+    if entries > cap * cap:
+        raise CapacityError(f"a stack of {count} matrices of side {side} holds {entries} "
+                            f"entries, which exceeds cap {cap}^2")
+
+
 def tensor(a, b) -> Matrix:
     """Kronecker product; block (j, k) of the result is a[j, k] * b.
 

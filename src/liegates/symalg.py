@@ -22,7 +22,7 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import FamilyMismatchError, LieGatesError, ParameterMismatchError
 from .generators import GeneratorSet, mu_phase, torus_T
-from .linalg import Matrix, check_capacity
+from .linalg import Matrix, check_capacity, check_stack
 
 
 @dataclass(frozen=True)
@@ -124,12 +124,15 @@ def span_dimension(l: int, n: int) -> int:
     T_{n-1}^{a_{n-1}} times a suffix S_b = T_n^{b_0} ... T_{2n-1}^{b_{n-1}},
     and tr(P_a S_b) = vec(P_a) . vec(S_b^T), so every trace comes from one
     product of the l^n stacked prefixes with the l^n stacked suffixes, in
-    O(l^n N^2) memory.  A failure names the last monomial, in
-    itertools.product order, of largest trace.
+    O(l^n N^2) memory.  Each of those stacks holds N^3 entries, so N^3 above
+    dim_cap^2 is refused with CapacityError before any matrix is built.  A
+    failure names the last monomial, in itertools.product order, of largest
+    trace.
     """
     if l < 2 or n < 1:
         raise ValueError(f"span needs l >= 2 and n >= 1, got l = {l}, n = {n}")
     check_capacity(l, n)
+    check_stack(l**n, l**n)
     mats = torus_T(n, l).matrices()
     prefixes, suffixes = _power_products(mats[:n], l), _power_products(mats[n:], l)
     traces = np.abs(prefixes.reshape(len(prefixes), -1)

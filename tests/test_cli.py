@@ -164,6 +164,21 @@ def test_huge_power_refused_without_forming_it(capsys, argv):
     assert f"3^{argv[-1]}" in error["message"]
 
 
+def test_span_stack_over_the_cap_exits_2(capsys, monkeypatch):
+    # 8^3 = 512 passes the side cap, but each monomial stack would hold 512^3
+    # entries; the refusal comes before any matrix is built
+    def unbuilt(n, l):
+        raise AssertionError("torus_T was built")
+
+    monkeypatch.setattr(symalg, "torus_T", unbuilt)
+    code, _, err = run_json(capsys, ["span", "--l", "8", "--n", "3"])
+    assert code == 2
+    assert json.loads(err)["error"] == {
+        "type": "validation",
+        "message": "a stack of 512 matrices of side 512 holds 134217728 entries, "
+                   "which exceeds cap 4096^2"}
+
+
 def test_span_exits_1_when_a_monomial_has_trace(capsys, monkeypatch):
     # a family of identities: every monomial has trace 2, and the last one is named
     monkeypatch.setattr(symalg, "torus_T", lambda n, l: GeneratorSet("torus_full", n, l, [

@@ -211,6 +211,36 @@ def test_refinement_never_raises_the_error(label, n, l, slices):
         assert refined["phase_invariant_error"] <= plain["phase_invariant_error"]
 
 
+def test_singular_step_ends_the_solve(two_local, monkeypatch):
+    # a residual logarithm that cannot be formed stops Newton before its
+    # first step: the unrefined words and errors, bit for bit
+    gens, basis = two_local
+    u = _su4(21)
+    plain = compile_report(u, gens, basis, (1, 2), CompileConfig(refine=False))
+    assert compile_report(u, gens, basis, (1, 2)) != plain
+
+    def singular(x):
+        raise np.linalg.LinAlgError("singular")
+
+    monkeypatch.setattr(compiler_mod, "_log_unitary", singular)
+    assert compile_report(u, gens, basis, (1, 2)) == plain
+    assert plain["rows"][0]["phase_invariant_error"] > 1e-8
+
+
+def test_zero_dimensional_closure_compiles_only_the_identity():
+    # a zero generator closes to dim 0: the identity is an empty word, any
+    # other target is off the span by its whole logarithm
+    gens = GeneratorSet("user", 1, 2, [Generator("O", np.zeros((2, 2), complex), 1,
+                                                 ANTI_HERMITIAN)])
+    basis = closure(gens)
+    assert basis.dim == 0
+    seq = compile(np.eye(2), gens, basis)
+    assert seq.items == [] and seq.report["phase_invariant_error"] == 0.0
+    with pytest.raises(NotMemberError) as err:
+        compile(np.diag([1j, -1j]), gens, basis)
+    assert err.value.residual == pytest.approx(math.pi / math.sqrt(2), rel=1e-12)
+
+
 def test_cnot_sweep_improves_by_ten():
     # on every l = 2 set CNOT is exact at one slice (see
     # test_commuting_string_targets_exact_at_one_slice); the l = 4 torus
@@ -230,6 +260,15 @@ def test_random_su4_sweep_monotone(two_local):
     rep = compile_report(u, gens, basis, m_values=(1, 4, 16, 64))
     assert rep["monotone"]
     assert rep["rows"][-1]["phase_invariant_error"] <= 1e-2
+
+
+def test_descending_sweep_is_not_monotone(two_local):
+    # four slices reach rounding, one does not: read in that order the error grows
+    gens, basis = two_local
+    rep = compile_report(_su4(24), gens, basis, m_values=(4, 1))
+    low, high = (r["phase_invariant_error"] for r in rep["rows"])
+    assert low <= 1e-12 and high > 1e-8
+    assert not rep["monotone"]
 
 
 def test_non_universal_set_rejects(gamma_only):
@@ -267,6 +306,31 @@ def test_gate_table_refuses_a_generator_herm_eig_refuses():
     for gen_id in ("Z", "bad"):
         with pytest.raises(MatrixPropertyError):
             gate_matrix(gens, gen_id, 0.1)
+
+
+@pytest.mark.parametrize("fields", [
+    {"slices": 2.5}, {"slices": 2.0}, {"slices": "2"}, {"max_commutator_depth": 2.5},
+    {"max_commutator_depth": -1}, {"slices": 0}])
+def test_config_refuses_counts_it_cannot_honour(fields):
+    with pytest.raises(ValueError):
+        CompileConfig(**fields)
+
+
+def test_config_takes_numpy_integers(two_local):
+    gens, basis = two_local
+    cfg = CompileConfig(slices=np.int64(2), max_commutator_depth=np.int32(8))
+    assert compile(CNOT, gens, basis, cfg).report["slice_count"] == 4   # CNOT is split
+
+
+@pytest.mark.parametrize("m_values, cfg", [
+    ((1.5, 2), None), ((1, 2), CompileConfig(slices=64)),
+    ((1, 2), CompileConfig(target_error=1e-3))], ids=["fractional", "slices", "target_error"])
+def test_sweep_refuses_what_it_cannot_honour(two_local, m_values, cfg):
+    # a sweep takes its slice counts from m_values alone
+    gens, basis = two_local
+    with pytest.raises(ValueError):
+        compile_report(_su4(21), gens, basis, m_values, cfg)
+    assert compile_report(_su4(21), gens, basis, (np.int64(1), 2))["rows"][0]["slices"] == 1
 
 
 def test_depth_budget(two_local):
@@ -550,13 +614,22 @@ def test_gates_per_slice(label, n, l, gates):
 
 # -- the slice product against the flat word ---------------------------------
 
+def _install_budget(monkeypatch, basis, tree_bytes):
+    """Give the basis the block plan of tree_bytes for one test; returns its block count."""
+    t = compiler_mod._templates(basis)
+    blocks = compiler_mod._plan_blocks(t, basis, tree_bytes)
+    monkeypatch.setattr(basis, "_templates", t._replace(blocks=blocks))
+    return len(blocks)
+
+
 @pytest.mark.parametrize("tree_bytes", [compiler_mod._TREE_BYTES, 1], ids=["blocks", "one_each"])
 def test_slice_product_matches_flat_word(monkeypatch, tree_bytes):
     # the cases of the realisation test above, where the wrap and clip fire;
     # one_each puts every element of a tree product in a block of its own
-    monkeypatch.setattr(compiler_mod, "_TREE_BYTES", tree_bytes)
     cfg = CompileConfig()
     for gens, basis, coords, slices in _oracle_cases():
+        count = _install_budget(monkeypatch, basis, tree_bytes)
+        assert (count == basis.dim) == (tree_bytes == 1)
         product = _linearise(coords, basis, slices, gens, jacobian=False)[0]
         flat = _word_product(_eig_table(gens), *_slice_items(coords, basis, slices, gens, cfg))
         assert np.max(np.abs(product - flat)) <= 1e-12
@@ -711,9 +784,10 @@ def test_slice_product_memory_is_bounded(monkeypatch):
 
     monkeypatch.setattr(compiler_mod, "_TREE_BYTES", 1 << 16)
     gens = build_family("torus_two_local", 2, 3)
-    basis = closure(gens)
+    basis = closure(gens)   # a fresh basis, planned at the patched budget
     coords = np.random.default_rng(12).normal(scale=0.3, size=basis.dim)
     tree = _linearise(coords, basis, 8, gens, jacobian=False)[0]   # builds the cached tables
+    assert len(compiler_mod._templates(basis).blocks) == 12
     tracemalloc.start()
     try:
         again = _linearise(coords, basis, 8, gens, jacobian=False)[0]
@@ -738,7 +812,8 @@ def test_refine_step_memory_is_bounded(monkeypatch):
                               CompileConfig(slices=8))
     monkeypatch.setattr(compiler_mod, "_REFINE_MAX_ITER", 1)
     whole = compiler_mod._refine_coords(plan, 8)   # builds the cached tables
-    monkeypatch.setattr(compiler_mod, "_TREE_BYTES", 1 << 16)
+    assert len(compiler_mod._templates(basis).blocks) == 1
+    assert _install_budget(monkeypatch, basis, 1 << 16) == 12
     tracemalloc.start()
     try:
         blocked = compiler_mod._refine_coords(plan, 8)
@@ -753,30 +828,26 @@ def test_refine_step_memory_is_bounded(monkeypatch):
 
 # -- block plans ---------------------------------------------------------------
 
-def test_plans_are_built_once_per_budget(monkeypatch):
+def test_block_plan_is_built_once_per_basis(monkeypatch):
     builds, build = [], compiler_mod._plan_blocks
     monkeypatch.setattr(compiler_mod, "_plan_blocks",
                         lambda *args: builds.append(args[-1]) or build(*args))
     gens = build_family("torus_two_local", 2, 3)
-    basis = closure(gens)   # a fresh basis: nothing cached yet
     u = random_unitary(9, np.random.default_rng(31))
-    default = compiler_mod._TREE_BYTES
     for _ in range(2):
-        compile(u, gens, basis)
-    assert builds == [default]
-    monkeypatch.setattr(compiler_mod, "_TREE_BYTES", 1 << 16)
-    for _ in range(2):
-        compile(u, gens, basis)
-    assert builds == [default, 1 << 16]
+        basis = closure(gens)   # a fresh basis: nothing cached yet
+        for _ in range(2):
+            compile(u, gens, basis)
+        compile_report(u, gens, basis, (1, 2))
+    assert builds == [compiler_mod._TREE_BYTES] * 2
 
 
 @pytest.mark.parametrize("label, n, l", [("torus_two_local", 2, 3), ("clifford_two_local", 3, 2)])
-def test_tree_bytes_patched_after_a_compile_takes_effect(monkeypatch, label, n, l):
+def test_budget_of_one_gives_one_element_per_block(monkeypatch, label, n, l):
     gens, basis = _closed(label, n, l)
-    compile(random_unitary(gens.dim, np.random.default_rng(32)), gens, basis)
-    assert len(compiler_mod._blocks(basis)) < basis.dim
-    monkeypatch.setattr(compiler_mod, "_TREE_BYTES", 1)
-    blocks = compiler_mod._blocks(basis)
+    assert len(compiler_mod._templates(basis).blocks) < basis.dim
+    assert _install_budget(monkeypatch, basis, 1) == basis.dim
+    blocks = compiler_mod._templates(basis).blocks
     assert [(b.lo, b.hi) for b in blocks] == [(j, j + 1) for j in range(basis.dim)]
     visited = [elems for elems, _ in compiler_mod._word_blocks(basis, gens, np.ones(basis.dim))]
     assert visited == [slice(j, j + 1) for j in range(basis.dim - 1, -1, -1)]
@@ -797,7 +868,8 @@ def test_slice_product_is_bit_identical_across_budgets(monkeypatch, label, n, l)
     coords = _coords_with_zeros(basis, 47)
     runs = []
     for tree_bytes in (compiler_mod._TREE_BYTES, 1):
-        monkeypatch.setattr(compiler_mod, "_TREE_BYTES", tree_bytes)
+        count = _install_budget(monkeypatch, basis, tree_bytes)
+        assert (count == basis.dim) == (tree_bytes == 1)
         runs.append((_linearise(coords, basis, 2, gens, jacobian=False)[0],
                      *compiler_mod._linearise(coords, basis, 2, gens)))
     (product, unit, jac), (product_1, unit_1, jac_1) = runs
@@ -810,8 +882,9 @@ def test_slice_product_is_bit_identical_across_budgets(monkeypatch, label, n, l)
 @pytest.mark.parametrize("tree_bytes", [compiler_mod._TREE_BYTES, 1], ids=["blocks", "one_each"])
 @pytest.mark.parametrize("label, n, l", [("torus_two_local", 2, 3), ("clifford_two_local", 3, 2)])
 def test_zero_coordinate_words_are_exactly_the_identity(monkeypatch, tree_bytes, label, n, l):
-    monkeypatch.setattr(compiler_mod, "_TREE_BYTES", tree_bytes)
     gens, basis = _closed(label, n, l)
+    count = _install_budget(monkeypatch, basis, tree_bytes)
+    assert (count == basis.dim) == (tree_bytes == 1)
     theta = _coords_with_zeros(basis, 48)
     eye = np.eye(basis.matrix_dim)
     for elems, words in compiler_mod._word_blocks(basis, gens, theta):

@@ -9,6 +9,8 @@ from liegates.generators import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    Generator,
+    GeneratorSet,
     clifford_gammas,
     clifford_plus_u,
     gamma_u,
@@ -254,6 +256,15 @@ def test_clifford_plus_u_labels():
     small = clifford_plus_u(1)
     assert small.ids() == ["G0", "G1", "G0G1"]
     assert all(is_anti_hermitian(m, tol=1e-12) for m in small.matrices())
+
+
+def test_empty_generator_set_is_refused():
+    # it has no dimension to read; mixed dimensions are refused the same way
+    with pytest.raises(FamilyMismatchError, match="at least one generator"):
+        GeneratorSet("user", 1, 2, [])
+    with pytest.raises(FamilyMismatchError, match="mixed matrix dimensions"):
+        GeneratorSet("user", 1, 2, [Generator("a", np.zeros((2, 2)), 1, "anti_hermitian"),
+                                    Generator("b", np.zeros((3, 3)), 1, "anti_hermitian")])
 
 
 def test_relation_report_rejects_custom():

@@ -229,6 +229,24 @@ def test_membership_center_never_generated():
         )
 
 
+def test_membership_result_is_true_exactly_for_members():
+    basis = closure(clifford_gammas(2))
+    assert membership(basis.basis[0], basis)
+    assert not membership(1j * tensor(SZ, SZ), basis)
+
+
+def test_membership_in_a_zero_dimensional_closure():
+    # only the zero matrix is a member; anything else is its own residual
+    zero = GeneratorSet("user", 1, 2, [Generator("O", np.zeros((2, 2), complex), 1,
+                                                 "anti_hermitian")])
+    basis = closure(zero)
+    assert basis.dim == 0
+    res = membership(np.zeros((2, 2)), basis)
+    assert res.member and res.residual == 0.0 and res.coefficients.shape == (0,)
+    res = membership(np.diag([1j, -1j]), basis)
+    assert not res.member and res.residual == frob_norm(np.diag([1j, -1j]))
+
+
 def test_membership_validation():
     basis = closure(clifford_gammas(1))
     with pytest.raises(DimensionMismatchError):

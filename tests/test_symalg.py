@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from itertools import product as iproduct
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liegates.errors import FamilyMismatchError, ParameterMismatchError
+import liegates.linalg as linalg
+import liegates.symalg as symalg
+from liegates.errors import CapacityError, FamilyMismatchError, ParameterMismatchError
 from liegates.generators import clifford_gammas, torus_T
 from liegates.linalg import max_abs
 from liegates.symalg import (
@@ -174,6 +177,34 @@ def test_span_dimension_checks_traces_without_a_gram_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+class _Built(Exception):
+    pass
+
+
+def _unbuilt(n, l):
+    raise _Built
+
+
+def test_span_stack_is_refused_before_torus_T(monkeypatch):
+    # under a cap of 4, N = 4 passes the side check but a stack of its N
+    # prefixes holds N^3 = 64 entries, above 4^2; N = 2 (8 entries) runs
+    monkeypatch.setattr(linalg, "DEFAULTS", replace(linalg.DEFAULTS, dim_cap=4))
+    assert span_dimension(2, 1) == 4
+    monkeypatch.setattr(symalg, "torus_T", _unbuilt)
+    with pytest.raises(CapacityError, match="64 entries, which exceeds cap 4\\^2"):
+        span_dimension(2, 2)
+
+
+def test_span_stack_bound_at_the_default_cap(monkeypatch):
+    # N = 256 (16.8M entries a stack) is the largest span the cap allows; N = 512 is refused
+    monkeypatch.setattr(symalg, "torus_T", _unbuilt)
+    with pytest.raises(_Built):
+        span_dimension(4, 4)
+    for l, n in ((8, 3), (2, 9), (16, 3)):
+        with pytest.raises(CapacityError, match="exceeds cap 4096\\^2"):
+            span_dimension(l, n)
 
 
 def test_render_parse_roundtrip():
