@@ -64,7 +64,6 @@ cached eigenbasis.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -87,17 +86,12 @@ from .linalg import (
     _herm_eig,
     _unitary_eig,
     as_matrix,
+    check_integer,
     frob_norm,
     herm_eig,
     is_unitary,
     phase_invariant_dist,
 )
-
-
-def _check_integer(name: str, value) -> None:
-    """Refuse a count that is not an integer, numpy's included, with ValueError."""
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -110,8 +104,8 @@ class CompileConfig:
     merge: bool = False
 
     def __post_init__(self):
-        _check_integer("slices", self.slices)
-        _check_integer("max_commutator_depth", self.max_commutator_depth)
+        check_integer("slices", self.slices)
+        check_integer("max_commutator_depth", self.max_commutator_depth)
         if self.slices < 1:
             raise ValueError("slices must be at least 1")
         if self.max_commutator_depth < 0:
@@ -766,7 +760,7 @@ def compile_report(u, gens: GeneratorSet, basis: LieBasis,
                          "do not apply")
     m_values = DEFAULTS.m_sweep if m_values is None else tuple(m_values)
     for m in m_values:
-        _check_integer("slices", m)
+        check_integer("slices", m)
     if any(m < 1 for m in m_values):
         raise ValueError("slices must be at least 1")
     plan = _plan(u, gens, basis, cfg)

@@ -7,8 +7,10 @@ join the basis; the sweep stops as soon as the basis spans su(N).  On a
 set of scaled Pauli strings (the binary, l = 2, case: a Clifford algebra)
 the sweep is bit arithmetic on the strings, a generation at a time: one
 numpy pass over a chunk of the generation's pairs picks the commutators
-whose string no element holds, and they are filled into the frame by
-index (N entries each) and admitted together.  Any other set (the torus
+whose string no element holds, each is weighed on its dense row, formed
+by index (N entries each) from a string key and one scalar, and they are
+admitted together.  The sweep holds each element as its key and scalar
+and writes the basis stack once, when it ends.  Any other set (the torus
 at l >= 3) has no such structure: its elements are rows of one basis
 stack, and per newest element b_j each block of earlier rows B gives its
 commutators from one product P = B b_j as P - P^dag, projected on the
@@ -39,7 +41,8 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import DimensionMismatchError, MatrixPropertyError, ParameterMismatchError
 from .generators import FAMILIES as _BUILDERS, GeneratorSet, clifford_gammas
-from .linalg import Matrix, as_matrix, check_capacity, commutator, frob_norm, is_anti_hermitian
+from .linalg import (Matrix, as_matrix, check_capacity, check_integer, commutator, frob_norm,
+                     is_anti_hermitian)
 
 
 @dataclass(frozen=True)
@@ -170,21 +173,16 @@ class LieBasis:
             tree.append(complex(v[0]))
             quotients.append((v / scale)[0])
         diff = np.array(quotients, dtype=complex) - self.frame[np.arange(self.dim), x, 0]
-        col = np.arange(n_dim)
         walsh = _walsh(n_dim)
-        worst = 0.0
-        for k in np.flatnonzero(diff):
-            m = np.zeros((n_dim, n_dim), dtype=complex)
-            m[col ^ x[k], col] = diff[k] * walsh[z[k]]
-            worst = max(worst, frob_norm(m))
-        return worst
+        return max((frob_norm(_string_rows(self.keys[k:k + 1], diff[k:k + 1], walsh)[0])
+                    for k in np.flatnonzero(diff)), default=0.0)
 
 
 # bytes of basis rows per product in the dense candidate filter of closure:
 # fewer, larger blocks read the frame fewer times (N = 27: 359 rows, N = 64: 64)
 _BLOCK_BYTES = 1 << 22
-# bytes of frame rows the Pauli sweep normalises at once: a block this size
-# stays in cache through its four passes (su(64): 4 rows, su(16): 64)
+# bytes of dense string rows the Pauli sweep weighs at once: a block this
+# size stays in cache through its norm and coeff passes (su(64): 4 rows, su(16): 64)
 _ROW_BYTES = 1 << 18
 # pairs (i, j) a Pauli sweep weighs in one numpy pass: 8 int64 arrays of
 # this length, 2 MB; a frontier element with more earlier elements is a
@@ -208,6 +206,20 @@ def _walsh(n_dim: int) -> np.ndarray:
     """The (N, N) signs (-1)^(z.c) as floats, row z and column c, for N = 2^n."""
     col = np.arange(n_dim)
     return 1.0 - 2 * _parity(col[:, None] & col, n_dim.bit_length() - 1)
+
+
+def _string_rows(keys: np.ndarray, scalars: np.ndarray, walsh: np.ndarray) -> np.ndarray:
+    """The (len(keys), N, N) dense rows s X^x Z^z of packed keys (x << n) | z and scalars s.
+
+    Column c of a row holds s (-1)^(z.c) at row c ^ x; walsh is _walsh(N).
+    + 0.0 clears the zero signs, which the dense product never sets.
+    """
+    n_dim = len(walsh)
+    x, z = np.divmod(keys, n_dim)
+    col = np.arange(n_dim)
+    rows = np.zeros((len(keys), n_dim, n_dim), dtype=complex)
+    rows[np.arange(len(keys))[:, None], col ^ x[:, None], col] = scalars[:, None] * walsh[z] + 0.0
+    return rows
 
 
 def _pauli_keys(mats: np.ndarray) -> np.ndarray | None:
@@ -303,13 +315,15 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
       generation is decided at once, over chunks of the frontier of at
       most _PAIRS pairs: one numpy pass over the chunk's pairs keeps the
       anticommuting ones whose product key no element holds and, per
-      key, the first such pair in (j, i) order.  Its commutator's N
-      entries are filled into the frame by index from the two keys and
-      scalars, with the dense product's floats, and it is admitted when
-      its norm is above thresh; when it is not, the key's next pair is
-      tried, as the pair-by-pair sweep would.  The frame is the basis
-      stack itself, no Gram-Schmidt runs and no tri is stored;
-      LieBasis.keys holds each element's key.
+      key, the first such pair in (j, i) order.  Its commutator is
+      weighed on its dense row, formed by index from the product key and
+      scalar with the dense product's floats, _ROW_BYTES of rows at a
+      time, and it is admitted when its norm is above thresh; when it is
+      not, the key's next pair is tried, as the pair-by-pair sweep would.
+      While it sweeps, an element is its key and the scalar of its unit
+      string; the basis stack, which is also the frame, is written once
+      from them when the sweep ends, no Gram-Schmidt runs and no tri is
+      stored.  LieBasis.keys holds each element's key.
     * Otherwise the elements are the rows of one basis stack, grown in
       place beside the frame.  Per frontier element b_j the earlier rows
       are taken in blocks B of at most 4 MB; one product P = B b_j gives
@@ -326,12 +340,13 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
     The sweep terminates when nothing is admitted or the element count
     reaches its limit, fixed once the leaves are admitted: N^2 - 1 (su(N))
     when their frame rows leave out the centre direction i*I, since
-    commutators are traceless, else N^2.  The frame grows in place, never
-    past that limit, and ends with one row per element.  A frame of N^2
-    rows of N^2 entries is refused with CapacityError above the dimension
-    cap, before any buffer is allocated, and a generator whose norm
-    overflows with MatrixPropertyError.  Deterministic for a fixed
-    generator order.
+    commutators are traceless, else N^2.  The dense sweep's frame grows
+    in place, never past that limit, and ends with one row per element;
+    the Pauli sweep allocates its stack once, one row per element.  A
+    frame of N^2 rows of N^2 entries is refused with CapacityError above
+    the dimension cap, before any buffer is allocated, and a generator
+    whose norm overflows with MatrixPropertyError.  Deterministic for a
+    fixed generator order.
     """
     tol = DEFAULTS.closure_tol if tol is None else tol
     if not 0 < tol < math.inf:
@@ -362,59 +377,29 @@ def _pauli_sweep(out: LieBasis, ids: list[str], mats: np.ndarray, gen_keys: np.n
     n_dim = out.matrix_dim
     n = n_dim.bit_length() - 1
     cap = n_dim * n_dim
-    # the frame, which is the basis stack, grown when full; the key of each
-    # element, and whether an element holds a key
-    buf = np.empty((len(mats), n_dim, n_dim), dtype=complex)
+    # the leaves' rows; per element its key and its scalar, the entry at
+    # (x, 0) of its unit string; and whether an element holds a key
+    leaves = np.empty((len(mats), n_dim, n_dim), dtype=complex)
     keys = np.empty(cap, dtype=np.int64)
+    scalars = np.empty(cap, dtype=complex)
     held = np.zeros(cap, dtype=bool)
-    # rows below this may hold entries: the leaves' buffer is uninitialised,
-    # and every row a growth adds is zero
-    dirty = len(buf)
     k = 0
     for gid, m, key in zip(ids, mats, gen_keys.tolist()):
         norm = frob_norm(m)
         if norm > thresh and not held[key]:
             held[key] = True
             keys[k] = key
-            b = np.divide(m, norm, out=buf[k])
+            b = np.divide(m, norm, out=leaves[k])
+            scalars[k] = b[key >> n, 0]
             out.recipes.append(Recipe("leaf", gid, coeff=_inner(b, m)))
             k += 1
+    leaves = leaves[:k]
     out.generations = [0] * k
-    stop = _last_count(buf.reshape(len(buf), -1).view(float)[:k], n_dim, thresh / 2)
+    stop = _last_count(leaves.reshape(k, cap).view(float), n_dim, thresh / 2)
 
     odd = _parity(np.arange(cap), 2 * n).astype(bool)
-    col = np.arange(n_dim)
     walsh = _walsh(n_dim)
-    step = max(1, _ROW_BYTES // (buf.itemsize * cap))   # rows normalised at once
-
-    def fill(i: np.ndarray, j: np.ndarray, base: int) -> np.ndarray:
-        """[b_i, b_j] of anticommuting pairs, written to the frame rows from base on."""
-        nonlocal buf, dirty
-        end = base + len(i)
-        if end > len(buf):
-            # a fresh calloc'd stack, whose pages the kernel zeroes on first
-            # write (a resize would memset its new rows); past a quarter of
-            # the stop, straight to the stop, so that the old and the new
-            # stack together stay under 1.25 stops
-            size = min(max(2 * len(buf), end), cap)
-            grown = np.zeros((max(stop, end) if 4 * size > stop else size, n_dim, n_dim),
-                             dtype=complex)
-            grown[:len(buf)] = buf
-            buf = grown
-        xi, zi = np.divmod(keys[i], n_dim)
-        xj, zj = np.divmod(keys[j], n_dim)
-        # b = s X^x Z^z holds s at (x, 0); for anticommuting strings
-        # [b_i, b_j] = 2 b_i b_j = 2 s_i s_j (-1)^(z_i.x_j) X^(x_i^x_j) Z^(z_i^z_j),
-        # s in complex scalar arithmetic, as the dense product forms it
-        s = [2 * si * sj * (-1.0 if o else 1.0) for si, sj, o in
-             zip(buf[i, xi, 0].tolist(), buf[j, xj, 0].tolist(), odd[zi & xj].tolist())]
-        rows = buf[base:end]
-        buf[base:min(dirty, end)] = 0
-        dirty = max(dirty, end)
-        # + 0.0 clears the zero signs, which the dense product never sets
-        rows[np.arange(len(i))[:, None], col ^ (xi ^ xj)[:, None], col] = (
-            np.array(s)[:, None] * walsh[zi ^ zj] + 0.0)
-        return rows
+    step = max(1, _ROW_BYTES // (16 * cap))   # dense rows weighed at once
 
     def admit(js: np.ndarray, generation: int) -> None:
         """Decide every pair (i, j), i < j, j in js, in (j, i) order; admissions join at k."""
@@ -426,43 +411,49 @@ def _pauli_sweep(out: LieBasis, ids: list[str], mats: np.ndarray, gen_keys: np.n
         swapped = ((kj & (n_dim - 1)) << n) | (kj >> n)
         prod = ki ^ kj
         pending = np.flatnonzero(odd[ki & swapped] & ~held[prod])
+        if not pending.size:
+            return
         # try the first pending pair of each key; one whose commutator is
-        # too short hands its key to the key's next pair
-        taken, norms = [np.empty(0, np.intp)], [np.empty(0)]
+        # too short hands its key to the key's next pair.  Per pair, the
+        # coeff and unit scalar of its commutator once weighed
+        coeff_at, unit_at = np.empty(len(prod)), np.empty(len(prod), complex)
+        taken = []
         while pending.size:
             _, first = np.unique(prod[pending], return_index=True)
             first.sort()
             tried = pending[first]
-            rows = fill(ii[tried], jj[tried], k + sum(map(len, taken)))
-            tried_norms = np.array([frob_norm(r) for r in rows])
-            ok = tried_norms > thresh
+            i, j = ii[tried], jj[tried]
+            # b = s X^x Z^z holds s at (x, 0); for anticommuting strings
+            # [b_i, b_j] = 2 b_i b_j = 2 s_i s_j (-1)^(z_i.x_j) X^(x_i^x_j) Z^(z_i^z_j),
+            # s in complex scalar arithmetic, as the dense product forms it
+            s = np.array([2 * si * sj * (-1.0 if o else 1.0) for si, sj, o in
+                          zip(scalars[i].tolist(), scalars[j].tolist(),
+                              odd[keys[i] & (keys[j] >> n)].tolist())])
+            # norm and coeff are the dense row's, weighed a block of rows at a
+            # time; every element is a unit string, so no norm is 0
+            norm = np.empty(len(s))
+            for r in range(0, len(s), step):
+                block = tried[r:r + step]
+                c = _string_rows(prod[block], s[r:r + step], walsh)
+                norm[r:r + len(c)] = [frob_norm(row) for row in c]
+                b = c / norm[r:r + len(c), None, None]
+                # frob_inner(b, c) of each row
+                coeff_at[block] = (b.conj() * c).reshape(len(c), cap).sum(axis=1).real
+            unit_at[tried] = s / norm
+            ok = norm > thresh
             taken.append(tried[ok])
-            norms.append(tried_norms[ok])
             if ok.all():
                 break
-            rows[:np.count_nonzero(ok)] = rows[ok]
             retry = np.isin(prod[pending], prod[tried[~ok]])
             retry[first] = False
             pending = pending[retry]
-        pos, norm = np.concatenate(taken), np.concatenate(norms)
-        if len(taken) > 2:
-            # rows went in by round; admissions go in (j, i) order
-            order = np.argsort(pos)
-            buf[k:k + len(pos)] = buf[k + order]
-            pos, norm = pos[order], norm[order]
-        # the sweep stops at the last element count
-        pos, norm = pos[:stop - k], norm[:stop - k]
-        coeffs = np.empty(len(pos))
-        for r in range(0, len(pos), step):
-            c = buf[k + r:k + min(r + step, len(pos))]
-            b = c / norm[r:r + len(c), None, None]
-            # frob_inner(b, c) of each row, then b replaces c
-            coeffs[r:r + len(c)] = (b.conj() * c).reshape(len(c), -1).sum(axis=1).real
-            c[...] = b
+        # admissions go in (j, i) order, and the sweep stops at the last element count
+        pos = np.sort(np.concatenate(taken))[:stop - k]
         keys[k:k + len(pos)] = prod[pos]
+        scalars[k:k + len(pos)] = unit_at[pos]
         held[prod[pos]] = True
         out.recipes += map(partial(Recipe, "comm", None), ii[pos].tolist(), jj[pos].tolist(),
-                           coeffs.tolist())
+                           coeff_at[pos].tolist())
         out.generations += [generation] * len(pos)
         k += len(pos)
 
@@ -482,8 +473,13 @@ def _pauli_sweep(out: LieBasis, ids: list[str], mats: np.ndarray, gen_keys: np.n
             lo = hi
         frontier = np.arange(start, k)
 
-    buf.resize((k, n_dim, n_dim), refcheck=False)
-    out.frame = out.basis = buf
+    # the one write of the stack, skipped when no commutator joined; the
+    # leaves' rows are copied in, as they carry the generators' own zero signs
+    stack = leaves
+    if k > len(leaves):
+        stack = _string_rows(keys[:k], scalars[:k], walsh)
+        stack[:len(leaves)] = leaves
+    out.frame = out.basis = stack
     out.keys = keys[:k].copy()
 
 
@@ -615,11 +611,12 @@ def predicted_dimension(label: str, n: int, l: int) -> int:
 
 
 def build_family(label: str, n: int, l: int = 2) -> GeneratorSet:
-    """Build a registered family, refusing pinned or out-of-range n and l."""
+    """Build a registered family, refusing non-integer, pinned or out-of-range n and l."""
     family = _BUILDERS.get(label)
     if family is None:
         raise ValueError(f"unknown family {label!r}")
     for name, given in (("n", n), ("l", l)):
+        check_integer(name, given)
         if family.pinned.get(name, given) != given:
             raise ParameterMismatchError(
                 f"family {label!r} takes only {name} = {family.pinned[name]}, got {given}"
@@ -642,9 +639,10 @@ def dimension_table(max_n: int = 3, families: tuple[str, ...] | None = None) -> 
     and whether the closure spans the full traceless algebra.  A u(N)
     prediction matches a closure that spans su(N): commutators are
     traceless, so the closure plus the centre i*I is the u(N) count.
-    max_n below 1, and a selected name that is no family with a
-    prediction, are refused with ValueError.
+    max_n that is no integer or below 1, and a selected name that is no
+    family with a prediction, are refused with ValueError.
     """
+    check_integer("max_n", max_n)
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
     selected = {label: family for label, family in _BUILDERS.items()

@@ -18,6 +18,7 @@ A core never raises a validation error.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 
 import numpy as np
@@ -94,6 +95,12 @@ def is_unitary(a, tol: float | None = None) -> bool:
     tol = DEFAULTS.unitary_tol if tol is None else tol
     eye = np.eye(m.shape[0])
     return max_abs(dagger(m) @ m - eye) <= tol and max_abs(m @ dagger(m) - eye) <= tol
+
+
+def check_integer(name: str, value) -> None:
+    """Refuse a count that is not an integer, numpy's included, or is a bool, with ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def check_capacity(side: int, power: int = 1) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import FamilyMismatchError, LieGatesError, ParameterMismatchError
 from .generators import GeneratorSet, mu_phase, torus_T
-from .linalg import Matrix, check_capacity, check_stack
+from .linalg import Matrix, check_capacity, check_integer, check_stack
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,10 @@ def span_dimension(l: int, n: int) -> int:
     O(l^n N^2) memory.  Each of those stacks holds N^3 entries, so N^3 above
     dim_cap^2 is refused with CapacityError before any matrix is built.  A
     failure names the last monomial, in itertools.product order, of largest
-    trace.
+    trace.  l and n that are no integers are refused with ValueError.
     """
+    check_integer("l", l)
+    check_integer("n", n)
     if l < 2 or n < 1:
         raise ValueError(f"span needs l >= 2 and n >= 1, got l = {l}, n = {n}")
     check_capacity(l, n)

@@ -310,7 +310,7 @@ def test_gate_table_refuses_a_generator_herm_eig_refuses():
 
 @pytest.mark.parametrize("fields", [
     {"slices": 2.5}, {"slices": 2.0}, {"slices": "2"}, {"max_commutator_depth": 2.5},
-    {"max_commutator_depth": -1}, {"slices": 0}])
+    {"max_commutator_depth": -1}, {"slices": 0}, {"slices": True}])
 def test_config_refuses_counts_it_cannot_honour(fields):
     with pytest.raises(ValueError):
         CompileConfig(**fields)
@@ -323,8 +323,9 @@ def test_config_takes_numpy_integers(two_local):
 
 
 @pytest.mark.parametrize("m_values, cfg", [
-    ((1.5, 2), None), ((1, 2), CompileConfig(slices=64)),
-    ((1, 2), CompileConfig(target_error=1e-3))], ids=["fractional", "slices", "target_error"])
+    ((1.5, 2), None), ((True, 2), None), ((1, 2), CompileConfig(slices=64)),
+    ((1, 2), CompileConfig(target_error=1e-3))],
+    ids=["fractional", "bool", "slices", "target_error"])
 def test_sweep_refuses_what_it_cannot_honour(two_local, m_values, cfg):
     # a sweep takes its slice counts from m_values alone
     gens, basis = two_local

@@ -38,6 +38,7 @@ from liegates.lieclosure import (
 )
 from liegates.linalg import (as_matrix, commutator, frob_inner, frob_norm, is_anti_hermitian,
                              tensor, tensor_all)
+from liegates.symalg import span_dimension
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -89,8 +90,9 @@ def test_closure_frame_sized_by_admitted_elements():
     finally:
         tracemalloc.stop()
     assert basis.dim == 55
-    # a frame sized for u(32) would take 1024 rows of 16 KB
-    assert peak < 8 * basis.dim * 32**2 * 16
+    # a frame sized for u(32) would take 1024 rows of 16 KB; the sweep holds no
+    # second stack beside the one it writes at the end
+    assert peak < 1.75 * basis.dim * 32**2 * 16
 
 
 def test_closure_rejects_non_anti_hermitian():
@@ -338,6 +340,22 @@ def test_dimension_table_refuses_names_it_cannot_tabulate():
     assert [(r["family"], r["n"], r["l"]) for r in rows] == [
         ("clifford_full", 1, 2), ("clifford_plus_u", 1, 2)]
     assert all(r["match"] for r in rows)
+
+
+@pytest.mark.parametrize("call, good", [
+    (lambda v: build_family("clifford_full", v), 1),
+    (lambda v: build_family("torus_splits", 1, v), 3),
+    (lambda v: dimension_table(max_n=v, families=("clifford_full",)), 1),
+    (lambda v: span_dimension(v, 1), 2),
+    (lambda v: span_dimension(2, v), 1),
+], ids=["build_family-n", "build_family-l", "dimension_table-max_n", "span_dimension-l",
+        "span_dimension-n"])
+def test_counts_are_integers(call, good):
+    # a float, even a whole one, and a bool are refused before any work; numpy integers pass
+    for bad in (1.5, float(good), True, str(good)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(bad)
+    call(np.int64(good))
 
 
 @pytest.mark.parametrize("n,expected", [(1, 3), (2, 10), (3, 21)])
@@ -655,7 +673,8 @@ def test_membership_holds_no_copy_of_the_frame():
 
 
 def test_su64_closure_holds_one_basis_stack():
-    # 4095 elements of 64 KB: the stack is 268 MB, and nothing else of its size is held
+    # 4095 elements of 64 KB: the stack is 268 MB, written once, and the sweep holds
+    # keys and scalars beside it, no second stack
     gens = build_family("clifford_two_local", 6, 2)
     tracemalloc.start()
     try:
@@ -664,7 +683,7 @@ def test_su64_closure_holds_one_basis_stack():
     finally:
         tracemalloc.stop()
     assert basis.pauli and basis.dim == 4095 and basis.spans_su
-    assert peak < 400e6
+    assert peak < basis.basis.nbytes + 16e6
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ import numpy as np
 TOLS = (None, 1e-3, 0.05)
 # every dimension_table(max_n=3) row comes first; then su(16), su(32) and the torus (2, 4)
 EXTRA = [("clifford_plus_u", 4, 2), ("clifford_plus_u", 5, 2), ("torus_splits", 2, 4)]
-# the largest dense closure, at the default tol only: several seconds
-SLOW = [("torus_splits", 3, 3)]
+# the largest dense closure and su(64), a 268 MB stack, at the default tol only: several
+# seconds
+SLOW = [("torus_splits", 3, 3), ("clifford_two_local", 6, 2)]
 # the l >= 3 sets, and two Pauli sets
 L3 = [("torus_splits", 1, 3), ("torus_splits", 1, 4), ("torus_splits", 2, 3),
       ("torus_two_local", 2, 3)]
@@ -48,17 +49,21 @@ EIG_DIMS = (2, 3, 4, 8, 9, 16)
 def digest(*parts) -> str:
     h = hashlib.sha256()
     for p in parts:
-        h.update(p if isinstance(p, bytes) else repr(p).encode())
+        h.update(p if isinstance(p, (bytes, memoryview)) else repr(p).encode())
         h.update(b"\0")
     return h.hexdigest()
 
 
+def raw(a: np.ndarray) -> memoryview:
+    """The bytes of a in C order, as tobytes() gives them, without a copy when a is contiguous."""
+    return np.ascontiguousarray(a).data
+
+
 def closure_digest(basis) -> str:
     recipes = [(r.kind, r.gen_id, r.left, r.right, float(r.coeff).hex()) for r in basis.recipes]
-    keys = None if basis.keys is None else basis.keys.tobytes()
-    return digest(np.stack(basis.basis).tobytes(), np.ascontiguousarray(basis.frame).tobytes(),
-                  np.ascontiguousarray(basis.tri).tobytes(), recipes, basis.generations,
-                  float(basis.max_recipe_residual()).hex(), keys)
+    keys = None if basis.keys is None else raw(basis.keys)
+    return digest(raw(basis.basis), raw(basis.frame), raw(basis.tri), recipes,
+                  basis.generations, float(basis.max_recipe_residual()).hex(), keys)
 
 
 def eig_inputs(rng: np.random.Generator, random_unitary):
