@@ -3,25 +3,27 @@
 Given a target unitary and a generator set whose Lie closure is known, the
 compiler takes the principal logarithm, reads off coordinates in the
 closure basis, and emits a first-order product of slices; each coordinate
-is realised as a primitive exponential or as a word following the
-element's recipe tree.  Which word depends on the generators, the paper's
-binary/non-binary split:
+is realised as a primitive exponential or as the word of its element.
+Which word depends on the generators, the paper's binary/non-binary split:
 
 * Binary (every generator exactly a scaled Pauli string: every l = 2
-  set).  The children of a commutator node anticommute (a commuting pair
-  has commutator 0 and is never admitted) and each squares to a multiple
-  of -I, so a quarter turn of one child conjugates the other's
-  exponential onto the node exactly,
+  set).  Every element is a string too, and a quarter turn of a
+  generator string A, A^2 = -I, conjugates an anticommuting string B
+  onto their product exactly,
 
-      exp(pi/4 A) exp(t B) exp(-pi/4 A) = exp(t A B),   A^2 = -I, AB = -BA.
+      exp(pi/4 A) exp(t B) exp(-pi/4 A) = exp(t A B),   AB = -BA,
 
-  Each element's word is exp(theta b) up to rounding, and a slice is the
-  closed-form product of cos(theta / sqrt(N)) I + sqrt(N) sin(theta /
-  sqrt(N)) b over its elements: only the first-order splitting error
-  O(|theta|^2 / slices) remains.
+  so an element the basis keys reach from a generator in k such steps,
+  breadth first, has an exact word of 2k + 1 gates: the k quarter turns,
+  that generator's gate, and the turns undone.  Each element's word is
+  exp(theta b) up to rounding, and a slice is the closed-form product of
+  cos(theta / sqrt(N)) I + sqrt(N) sin(theta / sqrt(N)) b over its
+  elements: only the first-order splitting error O(|theta|^2 / slices)
+  remains.
 * Non-binary (the torus at l >= 3, any other set).  Nested group
-  commutators, exp(t P) exp(t Q) exp(-t P) exp(-t Q) ~ exp(t^2 [P, Q]),
-  whose plain product converges only like 1 / sqrt(slices).
+  commutators along the element's recipe tree, exp(t P) exp(t Q)
+  exp(-t P) exp(-t Q) ~ exp(t^2 [P, Q]), whose plain product converges
+  only like 1 / sqrt(slices).
 
 By default the coordinates are re-solved by Newton's method on the
 one-slice equation W(theta) = exp(L / slices), L the target's traceless
@@ -266,42 +268,44 @@ _TREE_BYTES = 1 << 20
 
 
 class _Templates(NamedTuple):
-    """Every basis element's unfolded recipe tree and word.
+    """Every basis element's word and the nodes it is written over.
 
-    Nodes are numbered element by element, each element's root first and
-    every node before its children, whose height (their element's
-    generation) is smaller.  For a coordinate theta a node's value is
-    |theta| at the root, and its angle is value / coeff.  P_k, the word of
-    node k for a positive theta, is exp(A * angle) at a leaf; at a
-    commutator it depends on the set, as do its children's values.
+    A node is a gate exp(A * angle) of one generator A (a leaf) or, on a
+    group-commutator set, a commutator of two nodes.  For a coordinate
+    theta a node's angle is value / coeff, its value |theta| at an
+    element's root, fixed at a quarter turn, and below a root set by the
+    node above it.  Element j's word is a list of (node, sign) entries,
+    each the node's gate at sign times its angle, for a positive theta; a
+    negative theta reads the word backwards with every sign flipped,
+    which realises P^dag.
 
-    * Group commutators (any set): both children of node k have value
+    * Group commutators (no pauli flag).  Nodes are numbered element by
+      element, each element's root first and every node before its
+      children, whose height (their element's generation) is smaller.
+      Both children f, s of node k (in recipe order) have value
       sqrt(value / coeff) of node k, and P_k = P_f P_s P_f^dag P_s^dag, as
-      exp(tP) exp(tQ) exp(-tP) exp(-tQ) realises t^2 [P, Q]; f, s are its
-      children in recipe order.
-    * Exact words (when the basis's pauli flag is set): children
-      anticommute and square to -I/N, so with A = sqrt(N) b_f,
-      exp(pi/4 A) exp(t b_s) exp(-pi/4 A) = exp(t sqrt(N) [b_f, b_s] / 2).
-      f, the conjugator, is the child of the shorter word (the left one on
-      a tie) and has value pi sqrt(N) / 4; s, the carrier, has node k's
-      value times gain, 2 / (sqrt(N) coeff), negated when f is the right
-      child.  P_k = P_f P_s P_f^dag realises exp(theta b_j).
+      exp(tP) exp(tQ) exp(-tP) exp(-tQ) realises t^2 [P, Q].
+    * Quarter-turn chains (pauli flag).  Node j < dim is element j's
+      carrier, the leaf of the generator its chain starts from; one node
+      after them per leaf element a is its quarter turn C_a, of value
+      pi sqrt(N) / 4.  Element j's word is C_{a_k}...C_{a_1}, its carrier
+      at sigma_j, and C_{a_1}^dag...C_{a_k}^dag (see _chains), so reading
+      it backwards with every sign flipped negates only the carrier.
 
-    A negative theta realises P^dag: the element's word read backwards
-    with every sign flipped.  blocks is the plan _word_blocks walks, built
-    with the templates at the budget _TREE_BYTES held then.
+    blocks is the plan _word_blocks walks, built with the templates at the
+    budget _TREE_BYTES held then.
     """
     node_start: np.ndarray  # (dim + 1,) first node of each element
     word_start: np.ndarray  # (dim + 1,) first word entry of each element
-    coeff: np.ndarray       # coeff of each node's recipe
+    coeff: np.ndarray       # coeff of each node's recipe, a carrier's that of its leaf
+    fixed: np.ndarray       # value of a quarter-turn node, 0 at any other
     height: np.ndarray      # generation of the node's element: 0 at a leaf
     by_height: tuple        # commutator nodes, one array per height from 1, the largest first
-    first: np.ndarray       # children of a commutator node in product order (an
-    second: np.ndarray      # exact word's conjugator, carrier), -1 at a leaf
-    gain: np.ndarray        # exact words: a carrier's value per unit of its node's
+    first: np.ndarray       # children of a commutator node in product order,
+    second: np.ndarray      # -1 at a leaf
     leaf_gen: np.ndarray    # generator table row of a leaf node, -1 elsewhere
-    node: np.ndarray        # leaf node of each word entry (positive theta)
-    sign: np.ndarray        # +1 or -1 per entry, times the leaf's angle
+    node: np.ndarray        # node of each word entry (positive theta)
+    sign: np.ndarray        # +1 or -1 per entry, times the node's angle
     blocks: tuple           # the _Block plans of _word_blocks, at _TREE_BYTES
 
 
@@ -313,35 +317,45 @@ def _templates(basis: LieBasis) -> _Templates:
         if not rec.coeff > 0:
             raise ValueError(f"recipe {i} has coeff {rec.coeff}; closure writes positive ones")
     position = {gen_id: k for k, gen_id in enumerate(basis.generator_matrices)}
-    root_n = math.sqrt(basis.matrix_dim)
-    coeff, height, first, second, gain, leaf_gen = ([] for _ in range(6))
+    coeff, fixed, height, first, second, leaf_gen = ([] for _ in range(6))
+
+    def add(i: int, value: float = 0.0) -> int:
+        # a node for element i's recipe: its number
+        rec = basis.recipes[i]
+        coeff.append(rec.coeff)
+        fixed.append(value)
+        height.append(basis.generations[i])
+        first.append(-1)
+        second.append(-1)
+        leaf_gen.append(position[rec.gen_id] if rec.kind == "leaf" else -1)
+        return len(coeff) - 1
 
     def unfold(i: int) -> tuple[int, list]:
         # node k and its positive-theta word as (leaf node, sign) entries
-        k, rec = len(coeff), basis.recipes[i]
-        for column, value in ((coeff, rec.coeff), (height, basis.generations[i]),
-                              (first, -1), (second, -1), (gain, 0.0), (leaf_gen, -1)):
-            column.append(value)
+        k, rec = add(i), basis.recipes[i]
         if rec.kind == "leaf":
-            leaf_gen[k] = position[rec.gen_id]
             return k, [(k, 1.0)]
         (f, f_word), (s, s_word) = unfold(rec.left), unfold(rec.right)
-        swap = basis.pauli and len(s_word) < len(f_word)
-        if swap:
-            (f, f_word), (s, s_word) = (s, s_word), (f, f_word)
-        if basis.pauli:
-            gain[s] = (-2.0 if swap else 2.0) / (root_n * rec.coeff)
-            inverse = f_word[::-1]
-        else:
-            inverse = f_word[::-1] + s_word[::-1]
         first[k], second[k] = f, s
-        return k, f_word + s_word + [(node, -e) for node, e in inverse]
+        return k, f_word + s_word + [(node, -e) for node, e in f_word[::-1] + s_word[::-1]]
 
     node_start, word_start, word = [0], [0], []
-    for i in range(basis.dim):
-        word.extend(unfold(i)[1])
-        node_start.append(len(coeff))
-        word_start.append(len(word))
+    if basis.pauli:
+        chains, carrier_sign = _chains(basis)
+        for chain in chains:
+            add(chain[-1])
+        quarter = math.pi * math.sqrt(basis.matrix_dim) / 4
+        turn = {a: add(a, quarter) for a, rec in enumerate(basis.recipes) if rec.kind == "leaf"}
+        for j, (chain, sigma) in enumerate(zip(chains, carrier_sign)):
+            turns = [turn[a] for a in chain[:-1]]
+            word += [(k, 1.0) for k in turns] + [(j, sigma)] + [(k, -1.0) for k in turns[::-1]]
+            word_start.append(len(word))
+        node_start = range(basis.dim + 1)
+    else:
+        for i in range(basis.dim):
+            word.extend(unfold(i)[1])
+            node_start.append(len(coeff))
+            word_start.append(len(word))
     node, sign = (np.array(col) for col in zip(*word)) if word else [np.empty(0)] * 2
 
     def ints(values):
@@ -349,14 +363,61 @@ def _templates(basis: LieBasis) -> _Templates:
 
     first, height = ints(first), ints(height)
     t = _Templates(
-        ints(node_start), ints(word_start), np.array(coeff, dtype=float), height,
+        ints(node_start), ints(word_start), np.array(coeff, dtype=float),
+        np.array(fixed, dtype=float), height,
         tuple(np.flatnonzero((first >= 0) & (height == h))
               for h in range(height.max(initial=0), 0, -1)),
-        first, ints(second), np.array(gain, dtype=float),
-        ints(leaf_gen), ints(node), sign.astype(float), (),
+        first, ints(second), ints(leaf_gen), ints(node), sign.astype(float), (),
     )
     basis._templates = t._replace(blocks=_plan_blocks(t, basis, _TREE_BYTES))
     return basis._templates
+
+
+def _chains(basis: LieBasis) -> tuple[list[list[int]], list[float]]:
+    """Per element of a Pauli basis, its quarter-turn chain and carrier sign.
+
+    With A = sqrt(N) b_a, A^2 = -I, and for a string b_p that anticommutes
+    with b_a, C_a = exp(pi/4 A) gives C_a b_p C_a^dag = A b_p = sigma b_q,
+    q = p ^ a, sigma = +/-1 (Cowtan et al., arXiv:1906.01734).  A
+    breadth-first search from the leaves over their quarter turns, both in
+    basis order, gives q its first (p, a); its chain is a, then p's chain,
+    which ends at a leaf l, and exp(theta b_q) = C_a exp(sigma theta b_p)
+    C_a^dag, so its carrier is l at the product of sigma along the chain.
+    With b = s X^x Z^z, s at (x, 0), A b_p = sqrt(N) s_a s_p (-1)^(z_a.x_p)
+    X^x' Z^z', so sigma is the sign of s_a s_p conj(s_q) (-1)^(z_a.x_p).
+    A basis with an element no chain reaches is refused with ValueError.
+    """
+    n_dim, dim = basis.matrix_dim, basis.dim
+    n, low = n_dim.bit_length() - 1, n_dim - 1
+    keys = basis.keys.tolist()
+    scalars = basis.basis[np.arange(dim), basis.keys >> n, 0].tolist()
+    index = {key: q for q, key in enumerate(keys)}
+    # per leaf: index, key, and key with halves swapped, so that key p
+    # anticommutes with it when p & swapped, (x_p & z_a) ^ (z_p & x_a), has odd parity
+    turns = [(a, keys[a], ((keys[a] & low) << n) | (keys[a] >> n))
+             for a, rec in enumerate(basis.recipes) if rec.kind == "leaf"]
+    order = [a for a, _, _ in turns]
+    chains: list = [None] * dim
+    for a in order:
+        chains[a] = [a]
+    sign = [1.0] * dim
+    for p in order:
+        if len(order) == dim:
+            break
+        kp = keys[p]
+        for a, ka, swapped in turns:
+            q = index.get(kp ^ ka) if (kp & swapped).bit_count() & 1 else None
+            if q is None or chains[q] is not None:
+                continue
+            chains[q] = [a] + chains[p]
+            flip = ((ka & low) & (kp >> n)).bit_count() & 1
+            sigma = (scalars[a] * scalars[p] * scalars[q].conjugate()).real > 0
+            sign[q] = sign[p] if sigma != flip else -sign[p]
+            order.append(q)
+    if len(order) < dim:
+        raise ValueError(f"{dim - len(order)} basis elements lie on no chain of generator "
+                         "quarter turns")
+    return chains, sign
 
 
 def _realised(coords: np.ndarray, slices: int) -> np.ndarray:
@@ -372,24 +433,18 @@ def _realised(coords: np.ndarray, slices: int) -> np.ndarray:
     return np.where((np.abs(coords) >= 1e-14) & (np.abs(theta) >= 1e-15), theta, 0.0)
 
 
-def _node_angles(t: _Templates, theta: np.ndarray, basis: LieBasis) -> np.ndarray:
+def _node_angles(t: _Templates, theta: np.ndarray) -> np.ndarray:
     """Angle of every node (see _Templates) for one slice's element coordinates theta.
 
-    The roots take |theta| and each commutator node sets its children's
-    values, one height at a time, the largest first; sqrt, products and
-    division are correctly rounded, so they are those of a node-by-node
-    pass, bit for bit.
+    The roots take |theta|, the quarter turns their fixed value, and each
+    commutator node sets its children's values, one height at a time, the
+    largest first; sqrt and division are correctly rounded, so they are
+    those of a node-by-node pass, bit for bit.
     """
-    value = np.zeros(len(t.coeff))
+    value = t.fixed.copy()
     value[t.node_start[:-1]] = np.abs(theta)
-    quarter = math.pi * math.sqrt(basis.matrix_dim) / 4
     for nodes in t.by_height:
-        f, s = t.first[nodes], t.second[nodes]
-        if basis.pauli:
-            value[f] = quarter
-            value[s] = value[nodes] * t.gain[s]
-        else:
-            value[f] = value[s] = np.sqrt(value[nodes] / t.coeff[nodes])
+        value[t.first[nodes]] = value[t.second[nodes]] = np.sqrt(value[nodes] / t.coeff[nodes])
     return value / t.coeff
 
 
@@ -404,7 +459,7 @@ def _slice_items(coords: np.ndarray, basis: LieBasis, slices: int,
     """
     t = _templates(basis)
     theta = _realised(coords, slices)
-    angle = _node_angles(t, theta, basis)
+    angle = _node_angles(t, theta)
     active = np.flatnonzero(theta)
     negative = theta[active] < 0
     table = _eig_table(gens)
@@ -501,7 +556,7 @@ def _word_blocks(basis: LieBasis, gens: GeneratorSet, theta: np.ndarray):
         if off.all():
             yield elems, np.repeat(np.eye(n, dtype=complex)[None], len(part), axis=0)
             continue
-        angle = _node_angles(t, theta, basis) if angle is None else angle
+        angle = _node_angles(t, theta) if angle is None else angle
         stack = np.empty((b.nodes, n, n), dtype=complex)
         _gates(_eig_table(gens), t.leaf_gen[b.leaves], angle[b.leaves], stack[:len(b.leaves)])
         for start, stop, f, s in b.levels:
@@ -510,7 +565,10 @@ def _word_blocks(basis: LieBasis, gens: GeneratorSet, theta: np.ndarray):
             right = second @ first
             np.matmul(first @ second, np.conj(right, out=right).transpose(0, 2, 1),
                       out=stack[start:stop])
+        # dropped before the yield, so the theta and theta + _DIFF_STEP walks of
+        # _linearise hold one node stack between them, not two
         words = stack[b.roots]
+        del stack
         back = part < 0
         words[back] = words[back].conj().transpose(0, 2, 1)
         words[off] = np.eye(n)

@@ -17,9 +17,9 @@ commutators from one product P = B b_j as P - P^dag, projected on the
 frame to filter them; the ones kept are formed exactly and decided one at
 a time by a double Gram-Schmidt pass.
 Each element carries a recipe, a binary commutator tree over primitive
-generator ids plus one real scale, which the compiler later realises as
-a word: exact quarter-turn conjugations on a Pauli set, nested group
-commutators otherwise.
+generator ids plus one real scale, which the compiler realises as
+nested group commutators on any set but a Pauli set; there its exact
+words are chains of generator quarter turns, read from the keys.
 
 Every basis element is its own normalised tree value, so its recipe
 reproduces it up to rounding.  Span and rank decisions use an orthonormal

@@ -13,6 +13,7 @@ import pytest
 
 from liegates import cli, lieclosure, linalg, symalg
 from liegates.cli import build_parser, run
+from liegates.compiler import evaluate
 from liegates.errors import FamilyMismatchError
 from liegates.generators import Generator, GeneratorSet, relation_report
 from liegates.lieclosure import _BUILDERS, build_family
@@ -75,6 +76,21 @@ def test_compile_random_seed_determinism(capsys):
     _, out1, _ = run_json(capsys, argv)
     _, out2, _ = run_json(capsys, argv)
     assert out1 == out2
+
+
+def test_toffoli_compiles_to_its_quarter_turn_word(capsys, tmp_path):
+    # one slice at a square-root split; the reported error is that of the emitted word
+    toffoli = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]]
+    (tmp_path / "toffoli.json").write_text(json.dumps(cli._matrix_to_json(toffoli)))
+    code, out, _ = run_json(capsys, ["compile", "--family", "clifford_two_local", "--n", "3",
+                                     "--target-file", str(tmp_path / "toffoli.json")])
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["items"]) == data["report"]["gate_count"] == 142
+    gens = build_family("clifford_two_local", 3)
+    word = evaluate([(gen_id, tau) for gen_id, tau in data["items"]], gens)
+    measured = linalg.phase_invariant_dist(toffoli, word)
+    assert abs(measured - data["report"]["phase_invariant_error"]) <= 1e-12
 
 
 def test_table_subcommand(capsys):

@@ -354,7 +354,7 @@ def test_target_error_mode(two_local):
 
 @pytest.mark.parametrize("merge", [False, True], ids=["unit", "merged"])
 def test_word_over_the_gate_cap_is_refused(two_local, merge):
-    # 10^9 slices of 61 gates: refused before the word, or its error, is formed
+    # 10^9 slices of 55 gates: refused before the word, or its error, is formed
     gens, basis = two_local
     u = random_unitary(4, np.random.default_rng(0))
     with pytest.raises(CapacityError, match="gates, above the cap"):
@@ -494,33 +494,61 @@ def _realize(basis, idx, theta, out):
     _realize(basis, right, -t, out)
 
 
-def _exact_length(basis, idx):
-    rec = basis.recipes[idx]
-    if rec.kind == "leaf":
-        return 1
-    a, b = _exact_length(basis, rec.left), _exact_length(basis, rec.right)
-    return min(2 * a + b, 2 * b + a)
+def _recipe_word_lengths(basis):
+    """Per element, the length of its recipe word in quarter-turn conjugations.
 
-
-def _realize_exact(basis, idx, theta, out):
-    """The recursive conjugation expansion (every l = 2 set).
-
-    For anticommuting A, B with A^2 = -I, exp(pi/4 A) exp(t B) exp(-pi/4 A)
-    = exp(t A B): the child of the shorter word (the left one on a tie)
-    takes a quarter turn and conjugates the other, whose angle carries theta.
+    A node takes the quarter turn of one child around the other child's
+    word, the child of the shorter word conjugating: min(2 L(a) + L(b),
+    2 L(b) + L(a)) gates.
     """
-    rec = basis.recipes[idx]
-    if rec.kind == "leaf":
-        out.append((rec.gen_id, theta / rec.coeff))
-        return
+    lengths = []
+    for rec in basis.recipes:
+        if rec.kind == "leaf":
+            lengths.append(1)
+        else:
+            a, b = lengths[rec.left], lengths[rec.right]
+            lengths.append(min(2 * a + b, 2 * b + a))
+    return lengths
+
+
+def _dense_chains(basis):
+    """Per element, (quarter-turn leaves, carrier leaf, sign), from the dense elements.
+
+    With A = sqrt(N) b_a for a leaf element b_a, the quarter turn
+    C_a = exp(pi/4 A) maps a string element b_p to sign * b_q, or to b_p
+    itself when the two commute.  A breadth-first search from the leaves
+    over the leaves' quarter turns, both in basis order, keeps the first
+    (parent, leaf) pair that reaches each element; the image is matched to
+    its element by the largest frame overlap, whose sign is sign.
+    """
     root = math.sqrt(basis.matrix_dim)
-    quarter = math.pi * root / 4
-    swap = _exact_length(basis, rec.right) < _exact_length(basis, rec.left)
-    conj, carrier = (rec.right, rec.left) if swap else (rec.left, rec.right)
-    t = theta * ((-2.0 if swap else 2.0) / (root * rec.coeff))
-    _realize_exact(basis, conj, quarter, out)
-    _realize_exact(basis, carrier, t, out)
-    _realize_exact(basis, conj, -quarter, out)
+    leaves = [a for a, rec in enumerate(basis.recipes) if rec.kind == "leaf"]
+    turn = {a: expm_antiherm(math.pi / 4 * root * basis.basis[a]) for a in leaves}
+    chains = {a: ([], a, 1.0) for a in leaves}
+    order = list(leaves)
+    for p in order:
+        for a in leaves:
+            image = turn[a] @ basis.basis[p] @ turn[a].conj().T
+            overlap = np.einsum("kij,ij->k", basis.basis.conj(), image).real
+            q = int(np.argmax(np.abs(overlap)))
+            assert abs(abs(overlap[q]) - 1.0) <= 1e-12
+            if q not in chains:
+                turns, leaf, sign = chains[p]
+                chains[q] = ([a] + turns, leaf, sign * np.sign(overlap[q]))
+                order.append(q)
+    assert len(chains) == basis.dim
+    return chains
+
+
+def _realize_chain(chains, basis, idx, theta, out):
+    """The quarter-turn chain of element idx (every l = 2 set):
+    C_{a_k}...C_{a_1} exp(sign theta b_leaf) C_{a_1}^dag...C_{a_k}^dag."""
+    quarter = math.pi * math.sqrt(basis.matrix_dim) / 4
+    turns, leaf, sign = chains[idx]
+    rec = [basis.recipes[a] for a in turns]
+    out.extend((r.gen_id, quarter / r.coeff) for r in rec)
+    out.append((basis.recipes[leaf].gen_id, sign * theta / basis.recipes[leaf].coeff))
+    out.extend((r.gen_id, -quarter / r.coeff) for r in rec[::-1])
 
 
 def _wrap_and_clip(items, gens, clip, hits):
@@ -571,7 +599,8 @@ def test_slice_items_match_recursive_realisation():
     hits = {l: {"wrap": 0, "clip": 0} for l in (2, 3)}
     for cfg in (CompileConfig(), CompileConfig(tau_clip=1.0)):
         for gens, basis, coords, slices in _oracle_cases():
-            realize = _realize_exact if gens.l == 2 else _realize
+            realize = (functools.partial(_realize_chain, _dense_chains(basis)) if gens.l == 2
+                       else _realize)
             ref: list = []
             for j, c in enumerate(coords):
                 if abs(c) >= 1e-14 and abs(c / slices) >= 1e-15:
@@ -584,7 +613,8 @@ def test_slice_items_match_recursive_realisation():
 
 
 @pytest.mark.parametrize("label, n, l", [
-    ("clifford_full", 2, 2), ("clifford_two_local", 3, 2), ("torus_two_local", 2, 2)])
+    ("clifford_full", 2, 2), ("clifford_two_local", 3, 2), ("torus_two_local", 2, 2),
+    ("clifford_two_local", 4, 2), ("clifford_plus_u", 4, 2)])
 def test_exact_words_realise_their_element(label, n, l):
     # the conjugation identity holds to rounding for every element and sign
     gens, basis = _closed(label, n, l)
@@ -600,17 +630,39 @@ def test_exact_words_realise_their_element(label, n, l):
 # gates of one slice with every coordinate active; the group-commutator
 # words of the l = 2 sets had 111 / 3909 / 52,995 and 1245 / 11,331
 @pytest.mark.parametrize("label, n, l, gates", [
-    ("clifford_two_local", 2, 2, 61),
-    ("clifford_two_local", 3, 2, 1229),
-    ("clifford_two_local", 4, 2, 13_217),
-    ("clifford_plus_u", 3, 2, 513),
-    ("clifford_plus_u", 4, 2, 3951),
+    ("clifford_two_local", 2, 2, 55),
+    ("clifford_two_local", 3, 2, 735),
+    ("clifford_two_local", 4, 2, 6067),
+    ("clifford_plus_u", 3, 2, 401),
+    ("clifford_plus_u", 4, 2, 2677),
     ("torus_two_local", 2, 3, 1448),
     ("torus_splits", 2, 3, 824),
 ])
 def test_gates_per_slice(label, n, l, gates):
     basis = closure(build_family(label, n, l))
     assert compiler_mod._templates(basis).word_start[-1] == gates
+
+
+@pytest.mark.parametrize("label, n", [
+    ("clifford_two_local", 2), ("clifford_two_local", 3), ("clifford_two_local", 4),
+    ("clifford_plus_u", 3), ("clifford_plus_u", 4)])
+def test_chain_words_are_no_longer_than_recipe_words(label, n):
+    # element by element; in total strictly shorter from clifford_two_local n = 3 on
+    basis = _closed(label, n)[1]
+    chain = np.diff(compiler_mod._templates(basis).word_start)
+    recipe = np.array(_recipe_word_lengths(basis))
+    assert np.all(chain <= recipe)
+    if label == "clifford_two_local" and n >= 3:
+        assert chain.sum() < recipe.sum()
+
+
+def test_element_no_chain_reaches_is_refused():
+    # a key outside the closure of the leaves lies on no quarter-turn chain
+    gens, basis = _closed("clifford_full", 2)
+    keys = basis.keys.copy()
+    keys[-1] = next(k for k in range(basis.matrix_dim**2) if k not in set(basis.keys.tolist()))
+    with pytest.raises(ValueError, match="no chain"):
+        compiler_mod._templates(replace(basis, keys=keys))
 
 
 # -- the slice product against the flat word ---------------------------------

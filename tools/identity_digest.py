@@ -8,7 +8,11 @@ mean equal bytes:
     diff before.txt after.txt
 
 --src names the tree whose `liegates` package is imported (default: the
-`src/` beside this script).  Pin the BLAS thread count: sums split over
+`src/` beside this script).  The last records, one per `cli compile`
+record, digest that run's JSON report (or sweep rows) without its
+gate_count, so a change that only rewrites words moves the `cli compile`
+records and leaves the `report` ones equal; they come last so the other
+records keep their line numbers.  Pin the BLAS thread count: sums split over
 threads round differently, so a seeded compile differs at rounding between
 one thread and two.
 """
@@ -19,6 +23,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -80,11 +85,20 @@ def eig_inputs(rng: np.random.Generator, random_unitary):
             yield "unitary_eig", dim, spectrum, np.kron(lift, u)
 
 
-def cli_digest(run, argv: list[str]) -> str:
+def cli_digest(run, argv: list[str]) -> tuple[str, str]:
+    """The digest of a CLI run's exit code, stdout and stderr, and its stdout."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
-    return digest(code, out.getvalue(), err.getvalue())
+    return digest(code, out.getvalue(), err.getvalue()), out.getvalue()
+
+
+def report_digest(stdout: str) -> str:
+    """A compile run's report, or its sweep rows and monotone flag, without gate_count."""
+    data = json.loads(stdout)
+    rows = [data["report"]] if "report" in data else data["sweep"]
+    return digest(json.dumps([{k: v for k, v in row.items() if k != "gate_count"}
+                              for row in rows]), data.get("monotone"))
 
 
 def main() -> None:
@@ -112,21 +126,23 @@ def main() -> None:
         print("membership", label, n, l, digest(
             [(r.member, r.coefficients.tobytes(), float(r.residual).hex()) for r in res]))
 
-    for label, n, l in L3[:2] + [("clifford_plus_u", 2, 2)]:
-        for extra in ([], ["--include-basis"], ["--tol", "1e-3"]):
-            argv = ["closure", "--family", label, "--n", str(n), "--l", str(l), *extra]
-            print("cli", *argv, cli_digest(run, argv))
-    for label, n, l in COMPILED:
-        for seed in (1, 2):
-            argv = ["compile", "--family", label, "--n", str(n), "--l", str(l),
-                    "--seed", str(seed)]
-            print("cli", *argv, cli_digest(run, argv))
-    for argv in RUNS:
-        print("cli", *argv, cli_digest(run, argv))
+    argvs = [["closure", "--family", label, "--n", str(n), "--l", str(l), *extra]
+             for label, n, l in L3[:2] + [("clifford_plus_u", 2, 2)]
+             for extra in ([], ["--include-basis"], ["--tol", "1e-3"])]
+    argvs += [["compile", "--family", label, "--n", str(n), "--l", str(l), "--seed", str(seed)]
+              for label, n, l in COMPILED for seed in (1, 2)]
+    compiled = []
+    for argv in argvs + RUNS:
+        record, stdout = cli_digest(run, argv)
+        print("cli", *argv, record)
+        if argv[0] == "compile":
+            compiled.append((argv, stdout))
 
     for solver, dim, spectrum, m in eig_inputs(np.random.default_rng(11), linalg.random_unitary):
         print(solver, dim, spectrum,
               digest(*(part.tobytes() for part in getattr(linalg, solver)(m))))
+    for argv, stdout in compiled:
+        print("report", *argv, report_digest(stdout))
 
 
 if __name__ == "__main__":
