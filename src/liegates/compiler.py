@@ -82,7 +82,7 @@ from .errors import (
     UnknownGeneratorError,
 )
 from .generators import GeneratorSet
-from .lieclosure import LieBasis, _membership
+from .lieclosure import LieBasis, _membership, _string_sign
 from .linalg import (
     Matrix,
     _herm_eig,
@@ -383,39 +383,35 @@ def _chains(basis: LieBasis) -> tuple[list[list[int]], list[float]]:
     basis order, gives q its first (p, a); its chain is a, then p's chain,
     which ends at a leaf l, and exp(theta b_q) = C_a exp(sigma theta b_p)
     C_a^dag, so its carrier is l at the product of sigma along the chain.
-    With b = s X^x Z^z, s at (x, 0), A b_p = sqrt(N) s_a s_p (-1)^(z_a.x_p)
-    X^x' Z^z', so sigma is the sign of s_a s_p conj(s_q) (-1)^(z_a.x_p).
-    A basis with an element no chain reaches is refused with ValueError.
+    With b = s X^x Z^z, A b_p = sqrt(N) s_a s_p (-1)^(z_a.x_p) X^x' Z^z':
+    sigma is the sign of s_a s_p conj(s_q) (-1)^(z_a.x_p), of keys and scalars
+    alone.  A basis with an element no chain reaches is refused with ValueError.
     """
-    n_dim, dim = basis.matrix_dim, basis.dim
-    n, low = n_dim.bit_length() - 1, n_dim - 1
-    keys = basis.keys.tolist()
-    scalars = basis.basis[np.arange(dim), basis.keys >> n, 0].tolist()
-    index = {key: q for q, key in enumerate(keys)}
+    dim, n, low = basis.dim, basis.matrix_dim.bit_length() - 1, basis.matrix_dim - 1
+    keys, scalars = basis.keys.tolist(), basis.scalars.tolist()
     # per leaf: index, key, and key with halves swapped, so that key p
     # anticommutes with it when p & swapped, (x_p & z_a) ^ (z_p & x_a), has odd parity
     turns = [(a, keys[a], ((keys[a] & low) << n) | (keys[a] >> n))
              for a, rec in enumerate(basis.recipes) if rec.kind == "leaf"]
     order = [a for a, _, _ in turns]
-    chains: list = [None] * dim
-    for a in order:
-        chains[a] = [a]
+    chains = [[a] if rec.kind == "leaf" else None for a, rec in enumerate(basis.recipes)]
+    # the elements no chain reaches yet, by key
+    index = {key: q for q, key in enumerate(keys) if chains[q] is None}
     sign = [1.0] * dim
     for p in order:
-        if len(order) == dim:
+        if not index:
             break
         kp = keys[p]
         for a, ka, swapped in turns:
-            q = index.get(kp ^ ka) if (kp & swapped).bit_count() & 1 else None
-            if q is None or chains[q] is not None:
+            q = index.pop(kp ^ ka, None) if (kp & swapped).bit_count() & 1 else None
+            if q is None:
                 continue
             chains[q] = [a] + chains[p]
-            flip = ((ka & low) & (kp >> n)).bit_count() & 1
-            sigma = (scalars[a] * scalars[p] * scalars[q].conjugate()).real > 0
-            sign[q] = sign[p] if sigma != flip else -sign[p]
+            sigma = scalars[a] * scalars[p] * scalars[q].conjugate() * _string_sign(ka, kp, n)
+            sign[q] = sign[p] if sigma.real > 0 else -sign[p]
             order.append(q)
-    if len(order) < dim:
-        raise ValueError(f"{dim - len(order)} basis elements lie on no chain of generator "
+    if index:
+        raise ValueError(f"{len(index)} basis elements lie on no chain of generator "
                          "quarter turns")
     return chains, sign
 
@@ -504,11 +500,11 @@ def _plan_blocks(t: _Templates, basis: LieBasis, tree_bytes: int) -> tuple[_Bloc
     one element), each with its stack's plan: an exact element counts one
     matrix, a group-commutator element its tree nodes."""
     budget = tree_bytes // (16 * basis.matrix_dim**2)
-    sizes = np.ones(basis.dim, np.intp) if basis.pauli else np.diff(t.node_start)
+    sizes, dim = np.diff(t.node_start).tolist(), basis.dim
     bounds = [0]
-    while bounds[-1] < basis.dim:
+    while bounds[-1] < dim:
         hi, total = bounds[-1] + 1, sizes[bounds[-1]]
-        while hi < basis.dim and total + sizes[hi] <= budget:
+        while hi < dim and total + sizes[hi] <= budget:
             total += sizes[hi]
             hi += 1
         bounds.append(hi)
@@ -777,6 +773,10 @@ def compile(u, gens: GeneratorSet, basis: LieBasis,
     reached or the next word would pass _MAX_GATES, even where the error
     grows; the best word is returned, and the error actually achieved is
     always reported, never promised.
+    cfg.max_commutator_depth caps the recipe depth (closure generation) of
+    the deepest element the target needs, else DepthExhaustedError; on a
+    Pauli set a word is a quarter-turn chain with no commutator in it, so
+    the cap does not bound the word.
     """
     cfg = cfg or CompileConfig()
     plan = _plan(u, gens, basis, cfg)

@@ -9,25 +9,26 @@ the sweep is bit arithmetic on the strings, a generation at a time: one
 numpy pass over a chunk of the generation's pairs picks the commutators
 whose string no element holds, each is weighed on its dense row, formed
 by index (N entries each) from a string key and one scalar, and they are
-admitted together.  The sweep holds each element as its key and scalar
-and writes the basis stack once, when it ends.  Any other set (the torus
-at l >= 3) has no such structure: its elements are rows of one basis
-stack, and per newest element b_j each block of earlier rows B gives its
-commutators from one product P = B b_j as P - P^dag, projected on the
-frame to filter them; the ones kept are formed exactly and decided one at
-a time by a double Gram-Schmidt pass.
-Each element carries a recipe, a binary commutator tree over primitive
-generator ids plus one real scale, which the compiler realises as
-nested group commutators on any set but a Pauli set; there its exact
-words are chains of generator quarter turns, read from the keys.
+admitted together.  Each element is its key and scalar, which the basis
+keeps; its stack is written once, when the sweep ends.  Any other set
+(the torus at l >= 3) has no such structure: its elements are rows of one
+basis stack, and per newest element b_j each block of earlier rows B
+gives its commutators from one product P = B b_j as P - P^dag, projected
+on the frame to filter them; the ones kept are formed exactly and decided
+one at a time by a double Gram-Schmidt pass.  Each element carries a
+recipe, a binary commutator tree over primitive generator ids plus one
+real scale, which the compiler realises as nested group commutators on
+any set but a Pauli set; there its exact words are chains of generator
+quarter turns, read from the keys and scalars.
 
 Every basis element is its own normalised tree value, so its recipe
 reproduces it up to rounding.  Span and rank decisions use an orthonormal
 frame with the same flag of subspaces; the basis itself is orthonormal
 exactly when the tree values are mutually orthogonal (all qubit families
 and the torus at (1, 3)), and membership solves for coordinates through
-the frame.  On a Pauli set the frame is the basis: distinct strings are
-exactly orthogonal, and the frame coordinates are the coefficients.
+the frame.  On a Pauli set the frame is the basis and no tri is stored:
+distinct strings are exactly orthogonal, and the frame coordinates are
+the coefficients.
 """
 
 from __future__ import annotations
@@ -72,23 +73,24 @@ class LieBasis:
     elements, one of the generation before: the tree of element i has
     height generations[i], and scales and tree values take one forward pass.
     basis is the (dim, N, N) element array, basis[k] element k.  On the
-    Pauli path it is the frame itself, keys[k] is the string key
-    (x << n) | z of element k, and no tri is stored: it reads as the
-    identity.  Otherwise the frame is a separate (dim, N, N) array.
-    coords is the one map to frame coordinates the compiler uses, for its
-    Newton residual and Jacobian columns; membership still projects on
-    the frame with its own einsum.
+    Pauli path it is the frame itself, tri is None and element k is the
+    string scalars[k] X^x Z^z of key keys[k] = (x << n) | z, which string
+    readers take instead of a row.  Otherwise the frame is a separate
+    array.  coords is the one map to frame coordinates the compiler uses,
+    for its Newton residual and Jacobian columns; membership still
+    projects on the frame with its own einsum.
     """
     matrix_dim: int
     generator_matrices: dict[str, Matrix]
     basis: np.ndarray = field(default_factory=lambda: np.empty((0, 0, 0), dtype=complex))
     recipes: list[Recipe] = field(default_factory=list)
     generations: list[int] = field(default_factory=list)
-    # orthonormal frame with basis[m] = sum_k tri[k, m] * frame[k], k <= m
+    # orthonormal frame, basis[m] = sum_k tri[k, m] * frame[k] (k <= m); no tri: frame = basis
     frame: np.ndarray | None = None
-    _tri: np.ndarray | None = field(default=None, repr=False)
-    # Pauli string key of each element, when every element is a scaled Pauli string
+    tri: np.ndarray | None = None
+    # string key and unit scalar of each element, when every element is a scaled Pauli string
     keys: np.ndarray | None = None
+    scalars: np.ndarray | None = None
     # compiler word templates of every element, built on the first compile
     _templates: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -109,15 +111,6 @@ class LieBasis:
     def pauli(self) -> bool:
         """Whether closure took the Pauli path: every element a scaled Pauli string."""
         return self.keys is not None
-
-    @property
-    def tri(self) -> np.ndarray:
-        """Frame coordinates of the basis; when none are stored, the identity, built per read."""
-        return np.eye(self.dim) if self._tri is None else self._tri
-
-    @tri.setter
-    def tri(self, value: np.ndarray | None) -> None:
-        self._tri = value
 
     def coords(self, stack: np.ndarray) -> np.ndarray:
         """(dim, len(stack)) frame coordinates Re tr(frame_k^dag X) = Re sum(frame_k * conj(X))."""
@@ -146,9 +139,9 @@ class LieBasis:
 
         On a Pauli basis each tree value is a scaled string whose scalar,
         r = 2 r_left r_right (-1)^(z_left.x_right), is the dense product's
-        entry at (x, 0), so tree value / scale - basis element is the string
-        times r / scale - b[x, 0]; only a nonzero difference is filled out
-        to take its norm, which is then the dense one bit for bit.
+        own, so tree value / scale - basis element is the string times
+        r / scale less the element's scalar; only a nonzero difference is
+        filled out to take its norm, which is then the dense one bit for bit.
         """
         scales = self.recipe_scales()
         if self.keys is None:
@@ -158,22 +151,22 @@ class LieBasis:
                            else commutator(raw[r.left], raw[r.right]))
             return max((frob_norm(v / scale - b)
                         for v, scale, b in zip(raw, scales, self.basis)), default=0.0)
-        n_dim = self.matrix_dim
-        x, z = np.divmod(self.keys, n_dim)
-        xs, zs = x.tolist(), z.tolist()
+        n, keys = self.matrix_dim.bit_length() - 1, self.keys.tolist()
         tree: list[complex] = []
-        quotients = []
-        for r, xk, scale in zip(self.recipes, xs, scales):
+        leaves = {}
+        for k, (r, key) in enumerate(zip(self.recipes, keys)):
             if r.kind == "leaf":
-                # in the generator's own dtype, as the dense value is divided
-                v = np.asarray(self.generator_matrices[r.gen_id])[xk, :1]
+                # divided in the generator's own dtype, as the dense value is
+                v = np.asarray(self.generator_matrices[r.gen_id])[key >> n, :1]
+                leaves[k] = (v / scales[k])[0]
+                tree.append(complex(v[0]))
             else:
-                odd = bin(zs[r.left] & xs[r.right]).count("1") & 1
-                v = np.array([2 * tree[r.left] * tree[r.right] * (-1.0 if odd else 1.0)])
-            tree.append(complex(v[0]))
-            quotients.append((v / scale)[0])
-        diff = np.array(quotients, dtype=complex) - self.frame[np.arange(self.dim), x, 0]
-        walsh = _walsh(n_dim)
+                tree.append(2 * tree[r.left] * tree[r.right]
+                            * _string_sign(keys[r.left], keys[r.right], n))
+        quotients = np.array(tree) / scales
+        quotients[list(leaves)] = list(leaves.values())
+        diff = quotients - self.scalars
+        walsh = _walsh(self.matrix_dim)
         return max((frob_norm(_string_rows(self.keys[k:k + 1], diff[k:k + 1], walsh)[0])
                     for k in np.flatnonzero(diff)), default=0.0)
 
@@ -200,6 +193,12 @@ def _parity(a: np.ndarray, width: int) -> np.ndarray:
         shift //= 2
         a = a ^ (a >> shift)
     return a & 1
+
+
+def _string_sign(a, b, n: int):
+    """(-1)^(z_a.x_b), +/-1.0, for keys (x << n) | z (ints or arrays) of a product string:
+    X^x_a Z^z_a X^x_b Z^z_b = (-1)^(z_a.x_b) X^(x_a ^ x_b) Z^(z_a ^ z_b)."""
+    return 1.0 - 2 * _parity(a & (b >> n), n)
 
 
 def _walsh(n_dim: int) -> np.ndarray:
@@ -322,8 +321,8 @@ def closure(gens: GeneratorSet, tol: float | None = None) -> LieBasis:
       not, the key's next pair is tried, as the pair-by-pair sweep would.
       While it sweeps, an element is its key and the scalar of its unit
       string; the basis stack, which is also the frame, is written once
-      from them when the sweep ends, no Gram-Schmidt runs and no tri is
-      stored.  LieBasis.keys holds each element's key.
+      from them when the sweep ends, no Gram-Schmidt runs and tri is
+      None.  LieBasis.keys and .scalars hold them.
     * Otherwise the elements are the rows of one basis stack, grown in
       place beside the frame.  Per frontier element b_j the earlier rows
       are taken in blocks B of at most 4 MB; one product P = B b_j gives
@@ -377,8 +376,8 @@ def _pauli_sweep(out: LieBasis, ids: list[str], mats: np.ndarray, gen_keys: np.n
     n_dim = out.matrix_dim
     n = n_dim.bit_length() - 1
     cap = n_dim * n_dim
-    # the leaves' rows; per element its key and its scalar, the entry at
-    # (x, 0) of its unit string; and whether an element holds a key
+    # the leaves' rows; per element its key and its scalar s, its unit
+    # string s X^x Z^z; and whether an element holds a key
     leaves = np.empty((len(mats), n_dim, n_dim), dtype=complex)
     keys = np.empty(cap, dtype=np.int64)
     scalars = np.empty(cap, dtype=complex)
@@ -423,12 +422,12 @@ def _pauli_sweep(out: LieBasis, ids: list[str], mats: np.ndarray, gen_keys: np.n
             first.sort()
             tried = pending[first]
             i, j = ii[tried], jj[tried]
-            # b = s X^x Z^z holds s at (x, 0); for anticommuting strings
-            # [b_i, b_j] = 2 b_i b_j = 2 s_i s_j (-1)^(z_i.x_j) X^(x_i^x_j) Z^(z_i^z_j),
-            # s in complex scalar arithmetic, as the dense product forms it
-            s = np.array([2 * si * sj * (-1.0 if o else 1.0) for si, sj, o in
+            # for anticommuting strings b = s X^x Z^z, [b_i, b_j] = 2 b_i b_j
+            # = 2 s_i s_j (-1)^(z_i.x_j) X^(x_i^x_j) Z^(z_i^z_j), s in complex
+            # scalar arithmetic, as the dense product forms it
+            s = np.array([2 * si * sj * g for si, sj, g in
                           zip(scalars[i].tolist(), scalars[j].tolist(),
-                              odd[keys[i] & (keys[j] >> n)].tolist())])
+                              _string_sign(keys[i], keys[j], n).tolist())])
             # norm and coeff are the dense row's, weighed a block of rows at a
             # time; every element is a unit string, so no norm is 0
             norm = np.empty(len(s))
@@ -480,7 +479,7 @@ def _pauli_sweep(out: LieBasis, ids: list[str], mats: np.ndarray, gen_keys: np.n
         stack = _string_rows(keys[:k], scalars[:k], walsh)
         stack[:len(leaves)] = leaves
     out.frame = out.basis = stack
-    out.keys = keys[:k].copy()
+    out.keys, out.scalars = keys[:k].copy(), scalars[:k].copy()
 
 
 def _dense_sweep(out: LieBasis, ids: list[str], mats: np.ndarray, thresh: float) -> None:
@@ -571,7 +570,7 @@ def membership(a, basis: LieBasis) -> MembershipResult:
     The matrix is projected onto the orthonormal frame; it is a member when
     the off-span residual is at most DEFAULTS.membership_tol times its
     norm.  Coefficients in the basis follow from the triangular frame
-    coordinates tri; with no tri stored (the Pauli path) the frame is the
+    coordinates tri; where tri is None (the Pauli path) the frame is the
     basis and the projections are the coefficients.
     """
     m = as_matrix(a)
@@ -592,7 +591,7 @@ def _membership(m: Matrix, basis: LieBasis) -> MembershipResult:
     # Re tr(frame_k^dag m) = Re sum(frame_k * conj(m)): no conjugated copy of the frame
     proj = np.einsum("kij,ij->k", basis.frame, m.conj()).real
     residual = frob_norm(m - np.tensordot(proj, basis.frame, axes=1))
-    coeffs = proj if basis._tri is None else np.linalg.solve(basis._tri, proj)
+    coeffs = proj if basis.tri is None else np.linalg.solve(basis.tri, proj)
     norm = frob_norm(m)
     return MembershipResult(residual <= DEFAULTS.membership_tol * max(norm, 1e-300), coeffs,
                             residual)

@@ -38,7 +38,7 @@ from liegates.generators import (
     two_local_clifford_set,
     two_local_torus_set,
 )
-from liegates.lieclosure import build_family, closure, membership
+from liegates.lieclosure import build_family, closure, dimension_table, membership
 from liegates.linalg import (
     expm_antiherm,
     frob_norm,
@@ -629,7 +629,7 @@ def test_exact_words_realise_their_element(label, n, l):
 
 # gates of one slice with every coordinate active; the group-commutator
 # words of the l = 2 sets had 111 / 3909 / 52,995 and 1245 / 11,331
-@pytest.mark.parametrize("label, n, l, gates", [
+GATES_PER_SLICE = [
     ("clifford_two_local", 2, 2, 55),
     ("clifford_two_local", 3, 2, 735),
     ("clifford_two_local", 4, 2, 6067),
@@ -637,7 +637,12 @@ def test_exact_words_realise_their_element(label, n, l):
     ("clifford_plus_u", 4, 2, 2677),
     ("torus_two_local", 2, 3, 1448),
     ("torus_splits", 2, 3, 824),
-])
+]
+
+
+# ids label-n-l, so a new pin keeps the test's name
+@pytest.mark.parametrize("label, n, l, gates", GATES_PER_SLICE,
+                         ids=[f"{label}-{n}-{l}" for label, n, l, _ in GATES_PER_SLICE])
 def test_gates_per_slice(label, n, l, gates):
     basis = closure(build_family(label, n, l))
     assert compiler_mod._templates(basis).word_start[-1] == gates
@@ -654,6 +659,27 @@ def test_chain_words_are_no_longer_than_recipe_words(label, n):
     assert np.all(chain <= recipe)
     if label == "clifford_two_local" and n >= 3:
         assert chain.sum() < recipe.sum()
+
+
+def test_string_readers_need_no_dense_row():
+    # on a Pauli basis the recipe residual and the chain templates read the
+    # keys and scalars alone: with every row of basis and frame NaN they are
+    # unchanged.  A dense basis keeps tri and no scalars
+    table = [(r["family"], r["n"], r["l"]) for r in dimension_table(max_n=3)]
+    for label, n, l in table + [("clifford_plus_u", 4, 2)]:
+        basis = _closed(label, n, l)[1]
+        if l != 2:
+            assert basis.scalars is None and basis.tri is not None
+            continue
+        assert basis.tri is None
+        x = basis.keys // basis.matrix_dim
+        assert np.array_equal(basis.scalars, basis.basis[np.arange(basis.dim), x, 0])
+        blank = replace(basis, basis=np.full_like(basis.basis, np.nan),
+                        frame=np.full_like(basis.frame, np.nan))
+        assert blank.max_recipe_residual() == basis.max_recipe_residual()
+        want, got = compiler_mod._templates(basis), compiler_mod._templates(blank)
+        for col in ("word_start", "node", "sign", "leaf_gen", "coeff", "fixed"):
+            assert np.array_equal(getattr(got, col), getattr(want, col)), (label, n, col)
 
 
 def test_element_no_chain_reaches_is_refused():

@@ -114,7 +114,7 @@ def test_closure_of_large_finite_generator():
     # |1e150 X|^2 = 2e300 is still finite: su(2), every element finite
     basis = closure(_x_and_z(1e150))
     assert basis.dim == 3 and basis.spans_su
-    assert np.isfinite(basis.basis).all() and np.isfinite(basis.tri).all()
+    assert np.isfinite(basis.basis).all() and basis.tri is None
 
 
 def test_basis_orthonormal_and_anti_hermitian():
@@ -506,13 +506,14 @@ def _assert_same_closure(got, want):
         # signs too; each element is a view of its frame row
         assert all(x.tobytes() == y.tobytes() for x, y in zip(got.basis, want.basis))
         assert all(np.shares_memory(b, got.frame) for b in got.basis)
-        # the frame is the basis stack and tri the identity; the reference's
-        # Gram-Schmidt leaves rounding off them, within _reference_rounding
+        # the frame is the basis stack and no tri is stored: it is the
+        # identity; the reference's Gram-Schmidt leaves rounding off them,
+        # within _reference_rounding
         assert got.frame.tobytes() == got.basis.tobytes()
-        assert np.array_equal(got.tri, np.eye(got.dim))
+        assert got.tri is None
         bound = _reference_rounding(got.matrix_dim)
         assert np.max(np.abs(got.frame - want.frame), initial=0.0) <= bound
-        assert np.max(np.abs(got.tri - want.tri), initial=0.0) <= bound
+        assert np.max(np.abs(np.eye(got.dim) - want.tri), initial=0.0) <= bound
     else:
         # each element is a view of one basis stack, which is not the frame
         if got.dim:

@@ -15,6 +15,11 @@ records and leaves the `report` ones equal; they come last so the other
 records keep their line numbers.  Pin the BLAS thread count: sums split over
 threads round differently, so a seeded compile differs at rounding between
 one thread and two.
+
+A closure record hashes the basis's tri; where tri is None (a Pauli basis,
+whose frame is the basis) it hashes the bytes of the identity np.eye(dim),
+streamed one row at a time so no dim x dim array is built.  So the record
+is the same whether a tree stores no tri or an identity one.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import hashlib
 import io
 import json
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -52,9 +58,14 @@ EIG_DIMS = (2, 3, 4, 8, 9, 16)
 
 
 def digest(*parts) -> str:
+    """SHA-256 of the parts: bytes as they are, an iterator as its byte chunks, else repr."""
     h = hashlib.sha256()
     for p in parts:
-        h.update(p if isinstance(p, (bytes, memoryview)) else repr(p).encode())
+        if isinstance(p, Iterator):
+            for chunk in p:
+                h.update(chunk)
+        else:
+            h.update(p if isinstance(p, (bytes, memoryview)) else repr(p).encode())
         h.update(b"\0")
     return h.hexdigest()
 
@@ -64,10 +75,20 @@ def raw(a: np.ndarray) -> memoryview:
     return np.ascontiguousarray(a).data
 
 
+def identity_rows(dim: int):
+    """The bytes of np.eye(dim), one row at a time."""
+    row = np.zeros(dim)
+    for k in range(dim):
+        row[k] = 1.0
+        yield row.tobytes()
+        row[k] = 0.0
+
+
 def closure_digest(basis) -> str:
     recipes = [(r.kind, r.gen_id, r.left, r.right, float(r.coeff).hex()) for r in basis.recipes]
     keys = None if basis.keys is None else raw(basis.keys)
-    return digest(raw(basis.basis), raw(basis.frame), raw(basis.tri), recipes,
+    tri = identity_rows(basis.dim) if basis.tri is None else raw(basis.tri)
+    return digest(raw(basis.basis), raw(basis.frame), tri, recipes,
                   basis.generations, float(basis.max_recipe_residual()).hex(), keys)
 
 
