@@ -44,11 +44,11 @@ logarithm and every slice count's exp(L / slices); coordinates) and
 A depth-d group-commutator word has 4^d gates but only 2^d distinct leaf
 exponentials: an element's word at a negative angle is the adjoint of its
 word at the positive one, and a commutator node is P_L P_R P_L^dag P_R^dag
-= (P_L P_R)(P_R P_L)^dag.  So one walk, _linearise, multiplies a slice on
-its commutator trees for refinement and reports, with or without the
-Jacobian: each leaf is exponentiated once and each tree height formed in
-stacked products, in blocks of elements with a bounded node stack.  The
-plan of that work depends only on the basis, so it is built once per
+= (P_L P_R)(P_R P_L)^dag.  So one walk, _word_blocks, forms a slice's
+words block by block, with their derivatives for the Jacobian: each leaf
+is exponentiated once and each tree height formed in stacked products, on
+one node stack sized to the largest block, and _linearise multiplies them.
+The plan of that work depends only on the basis, so it is built once per
 basis, with its templates, at the block budget _TREE_BYTES: the block
 bounds and, per block, the node count, the leaves ordered by generator,
 per tree height the stack positions of each node and its two children,
@@ -82,7 +82,7 @@ from .errors import (
     UnknownGeneratorError,
 )
 from .generators import GeneratorSet
-from .lieclosure import LieBasis, _membership, _string_sign
+from .lieclosure import LieBasis, _anticommute, _membership, _string_sign
 from .linalg import (
     Matrix,
     _herm_eig,
@@ -262,8 +262,8 @@ def merge_adjacent(items: list[tuple[str, float]]) -> list[tuple[str, float]]:
 # recipe realisation
 # ---------------------------------------------------------------------------
 
-# bytes of one block's node stack in _linearise: at N = 16, 256 nodes.  Read
-# once per basis, when _templates builds its block plan
+# bytes of a block's node stack (one per walk, the largest block's) in
+# _word_blocks: at N = 16, 256 nodes.  Read once per basis, by _templates
 _TREE_BYTES = 1 << 20
 
 
@@ -387,13 +387,14 @@ def _chains(basis: LieBasis) -> tuple[list[list[int]], list[float]]:
     sigma is the sign of s_a s_p conj(s_q) (-1)^(z_a.x_p), of keys and scalars
     alone.  A basis with an element no chain reaches is refused with ValueError.
     """
-    dim, n, low = basis.dim, basis.matrix_dim.bit_length() - 1, basis.matrix_dim - 1
+    dim, n = basis.dim, basis.matrix_dim.bit_length() - 1
     keys, scalars = basis.keys.tolist(), basis.scalars.tolist()
-    # per leaf: index, key, and key with halves swapped, so that key p
-    # anticommutes with it when p & swapped, (x_p & z_a) ^ (z_p & x_a), has odd parity
-    turns = [(a, keys[a], ((keys[a] & low) << n) | (keys[a] >> n))
-             for a, rec in enumerate(basis.recipes) if rec.kind == "leaf"]
-    order = [a for a, _, _ in turns]
+    order = [a for a, rec in enumerate(basis.recipes) if rec.kind == "leaf"]
+    # per leaf a: its key and, per element p, whether b_p anticommutes with
+    # b_a and the sign (-1)^(z_a.x_p) of their product
+    ka = basis.keys[order][:, None]
+    turns = list(zip(order, ka[:, 0].tolist(), _anticommute(basis.keys, ka, n).tolist(),
+                     _string_sign(ka, basis.keys, n).tolist()))
     chains = [[a] if rec.kind == "leaf" else None for a, rec in enumerate(basis.recipes)]
     # the elements no chain reaches yet, by key
     index = {key: q for q, key in enumerate(keys) if chains[q] is None}
@@ -402,12 +403,12 @@ def _chains(basis: LieBasis) -> tuple[list[list[int]], list[float]]:
         if not index:
             break
         kp = keys[p]
-        for a, ka, swapped in turns:
-            q = index.pop(kp ^ ka, None) if (kp & swapped).bit_count() & 1 else None
+        for a, ka, anti, sign_a in turns:
+            q = index.pop(kp ^ ka, None) if anti[p] else None
             if q is None:
                 continue
             chains[q] = [a] + chains[p]
-            sigma = scalars[a] * scalars[p] * scalars[q].conjugate() * _string_sign(ka, kp, n)
+            sigma = scalars[a] * scalars[p] * scalars[q].conjugate() * sign_a[p]
             sign[q] = sign[p] if sigma.real > 0 else -sign[p]
             order.append(q)
     if index:
@@ -527,48 +528,59 @@ def _plan_blocks(t: _Templates, basis: LieBasis, tree_bytes: int) -> tuple[_Bloc
     return tuple(blocks)
 
 
-def _word_blocks(basis: LieBasis, gens: GeneratorSet, theta: np.ndarray):
+def _word_blocks(basis: LieBasis, gens: GeneratorSet, theta: np.ndarray,
+                 derivative: bool = False):
     """The words of every element at one slice's coordinates theta, by block.
 
-    Yields (elements, words) from the last block back, the elements as a
-    slice.  An element with theta 0 has word I.  An exact word is
+    Yields (elements, words, diff) from the last block back, the elements
+    as a slice.  An element with theta 0 has word I.  An exact word is
     exp(theta b_j) with b_j^2 = -I/N, so it is cos(theta / sqrt(N)) I +
     sqrt(N) sin(theta / sqrt(N)) b_j.  A group-commutator word is formed
     on its tree: each leaf, at its raw angle, is exponentiated once and
     each commutator node formed from its children one tree height at a
-    time.  Every element of a block is formed and the theta = 0 words are
-    then set to I; a block with no nonzero theta forms nothing.
+    time, on one node stack that serves every block.  Every element of a
+    block is formed and the theta = 0 words are then set to I; a block
+    with no nonzero theta forms nothing.  diff is None without derivative,
+    else D_j = F_j^-1 dF_j / dtheta_j of each word F_j: b_j for an exact
+    word, for a group-commutator word the forward difference to its block
+    formed again, right after, at theta + _DIFF_STEP.
     """
     n, t = basis.matrix_dim, _templates(basis)
-    angle = None
+    if basis.pauli:
+        for b in reversed(t.blocks):
+            elems = slice(b.lo, b.hi)
+            x, exact = theta[elems] / math.sqrt(n), basis.basis[elems]
+            words = (np.cos(x)[:, None, None] * np.eye(n)
+                     + (math.sqrt(n) * np.sin(x))[:, None, None] * exact)
+            yield elems, words, exact if derivative else None
+        return
+    points = [theta, theta + _DIFF_STEP] if derivative else [theta]
+    angles = [_node_angles(t, p) for p in points]
+    stack = np.empty((max((b.nodes for b in t.blocks), default=0), n, n), dtype=complex)
     for b in reversed(t.blocks):
-        elems, part = slice(b.lo, b.hi), theta[b.lo:b.hi]
-        if basis.pauli:
-            x = part / math.sqrt(n)
-            yield elems, (np.cos(x)[:, None, None] * np.eye(n)
-                          + (math.sqrt(n) * np.sin(x))[:, None, None] * basis.basis[elems])
-            continue
-        off = part == 0
-        if off.all():
-            yield elems, np.repeat(np.eye(n, dtype=complex)[None], len(part), axis=0)
-            continue
-        angle = _node_angles(t, theta) if angle is None else angle
-        stack = np.empty((b.nodes, n, n), dtype=complex)
-        _gates(_eig_table(gens), t.leaf_gen[b.leaves], angle[b.leaves], stack[:len(b.leaves)])
-        for start, stop, f, s in b.levels:
-            # P_f P_s P_f^dag P_s^dag = (P_f P_s) (P_s P_f)^dag
-            first, second = stack[f], stack[s]
-            right = second @ first
-            np.matmul(first @ second, np.conj(right, out=right).transpose(0, 2, 1),
-                      out=stack[start:stop])
-        # dropped before the yield, so the theta and theta + _DIFF_STEP walks of
-        # _linearise hold one node stack between them, not two
-        words = stack[b.roots]
-        del stack
-        back = part < 0
-        words[back] = words[back].conj().transpose(0, 2, 1)
-        words[off] = np.eye(n)
-        yield elems, words
+        elems = slice(b.lo, b.hi)
+        words = []
+        for point, angle in zip(points, angles):
+            part = point[elems]
+            if part.any():
+                _gates(_eig_table(gens), t.leaf_gen[b.leaves], angle[b.leaves],
+                       stack[:len(b.leaves)])
+                for start, stop, f, s in b.levels:
+                    # P_f P_s P_f^dag P_s^dag = (P_f P_s) (P_s P_f)^dag
+                    first, second = stack[f], stack[s]
+                    right = second @ first
+                    np.matmul(first @ second, np.conj(right, out=right).transpose(0, 2, 1),
+                              out=stack[start:stop])
+            word = stack[b.roots]   # a copy: the stack is free for the next point
+            back = part < 0
+            word[back] = word[back].conj().transpose(0, 2, 1)
+            word[part == 0] = np.eye(n)   # every word, where no node was formed
+            words.append(word)
+        diff = None
+        if derivative:
+            diff = words[0].conj().transpose(0, 2, 1) @ (words[1] - words[0])
+            diff /= (points[1] - theta)[elems, None, None]
+        yield elems, words[0], diff
 
 
 # ---------------------------------------------------------------------------
@@ -613,35 +625,23 @@ def _linearise(coords: np.ndarray, basis: LieBasis, slices: int, gens: Generator
     _word_blocks), multiplied onto the identity from the last one back; the
     merge, the period wrap and the tau_clip split of _slice_items leave it
     unchanged.  With F_j the word of element j, S_j the product of the words
-    after it and D_j = F_j^-1 dF_j / dtheta_j, W^-1 dW / dc_j = S_j^dag D_j
-    S_j / slices; column j of the Jacobian is its frame coordinates.  An
-    exact word has D_j = b_j; a group-commutator word takes the forward
-    difference of its word at theta + _DIFF_STEP, every element of a block
-    in one tree evaluation.  The suffix S_j is carried from block to block
+    after it and D_j = F_j^-1 dF_j / dtheta_j, the walk's diff,
+    W^-1 dW / dc_j = S_j^dag D_j S_j / slices; column j of the Jacobian is
+    its frame coordinates.  The suffix S_j is carried from block to block
     and ends as W, so W has the same bits without the Jacobian, which
-    forms no suffix or difference stack and returns (W, None).
+    forms no suffix stack or column and returns (W, None).
     """
     theta = _realised(coords, slices)
     jac = np.empty((basis.dim, basis.dim)) if jacobian else None
-    if jacobian and not basis.pauli:
-        shifted = theta + _DIFF_STEP
-        moved = _word_blocks(basis, gens, shifted)
     suffix = np.eye(basis.matrix_dim, dtype=complex)
-    for elems, words in _word_blocks(basis, gens, theta):
-        if not jacobian:
-            for word in words[::-1]:
-                suffix = word @ suffix
-            continue
-        if basis.pauli:
-            diff = basis.basis[elems]
-        else:
-            diff = words.conj().transpose(0, 2, 1) @ (next(moved)[1] - words)
-            diff /= (shifted - theta)[elems, None, None]
-        after = np.empty_like(words)
+    for elems, words, diff in _word_blocks(basis, gens, theta, jacobian):
+        after = np.empty_like(words) if jacobian else None
         for k in range(len(words) - 1, -1, -1):
-            after[k] = suffix
+            if jacobian:
+                after[k] = suffix
             suffix = words[k] @ suffix
-        jac[:, elems] = basis.coords(after.conj().transpose(0, 2, 1) @ diff @ after)
+        if jacobian:
+            jac[:, elems] = basis.coords(after.conj().transpose(0, 2, 1) @ diff @ after)
     return suffix, jac / slices if jacobian else None
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -183,28 +183,31 @@ _ROW_BYTES = 1 << 18
 _PAIRS = 1 << 15
 
 
-def _parity(a: np.ndarray, width: int) -> np.ndarray:
-    """Parity (0 or 1) of the set bits of each entry of an int array below 2^width.
-
-    Xor-folding halves the width per step, so ceil(log2(width)) steps.
-    """
-    shift = 1 << max(width - 1, 0).bit_length()
-    while shift > 1:
-        shift //= 2
-        a = a ^ (a >> shift)
-    return a & 1
+@cache
+def _odd(n: int) -> np.ndarray:
+    """Read-only table of the parity of every int below 2^n, as bools, built by doubling."""
+    odd = np.zeros(1, dtype=bool)
+    for _ in range(n):
+        odd = np.concatenate((odd, ~odd))
+    odd.flags.writeable = False
+    return odd
 
 
 def _string_sign(a, b, n: int):
     """(-1)^(z_a.x_b), +/-1.0, for keys (x << n) | z (ints or arrays) of a product string:
     X^x_a Z^z_a X^x_b Z^z_b = (-1)^(z_a.x_b) X^(x_a ^ x_b) Z^(z_a ^ z_b)."""
-    return 1.0 - 2 * _parity(a & (b >> n), n)
+    return 1.0 - 2 * _odd(n)[a & (b >> n)]
+
+
+def _anticommute(a, b, n: int):
+    """Whether strings of keys a and b anticommute: z_a.x_b + z_b.x_a is odd."""
+    return _odd(n)[a & (b >> n)] ^ _odd(n)[b & (a >> n)]
 
 
 def _walsh(n_dim: int) -> np.ndarray:
     """The (N, N) signs (-1)^(z.c) as floats, row z and column c, for N = 2^n."""
     col = np.arange(n_dim)
-    return 1.0 - 2 * _parity(col[:, None] & col, n_dim.bit_length() - 1)
+    return 1.0 - 2 * _odd(n_dim.bit_length() - 1)[col[:, None] & col]
 
 
 def _string_rows(keys: np.ndarray, scalars: np.ndarray, walsh: np.ndarray) -> np.ndarray:
@@ -396,7 +399,6 @@ def _pauli_sweep(out: LieBasis, ids: list[str], mats: np.ndarray, gen_keys: np.n
     out.generations = [0] * k
     stop = _last_count(leaves.reshape(k, cap).view(float), n_dim, thresh / 2)
 
-    odd = _parity(np.arange(cap), 2 * n).astype(bool)
     walsh = _walsh(n_dim)
     step = max(1, _ROW_BYTES // (16 * cap))   # dense rows weighed at once
 
@@ -406,10 +408,8 @@ def _pauli_sweep(out: LieBasis, ids: list[str], mats: np.ndarray, gen_keys: np.n
         jj = np.repeat(js, js)
         ii = np.arange(len(jj)) - np.repeat(np.cumsum(js) - js, js)
         ki, kj = keys[ii], keys[jj]
-        # (x_i & z_j) ^ (z_i & x_j), packed: key i against key j with halves swapped
-        swapped = ((kj & (n_dim - 1)) << n) | (kj >> n)
         prod = ki ^ kj
-        pending = np.flatnonzero(odd[ki & swapped] & ~held[prod])
+        pending = np.flatnonzero(_anticommute(ki, kj, n) & ~held[prod])
         if not pending.size:
             return
         # try the first pending pair of each key; one whose commutator is

@@ -928,7 +928,7 @@ def test_budget_of_one_gives_one_element_per_block(monkeypatch, label, n, l):
     assert _install_budget(monkeypatch, basis, 1) == basis.dim
     blocks = compiler_mod._templates(basis).blocks
     assert [(b.lo, b.hi) for b in blocks] == [(j, j + 1) for j in range(basis.dim)]
-    visited = [elems for elems, _ in compiler_mod._word_blocks(basis, gens, np.ones(basis.dim))]
+    visited = [elems for elems, _, _ in compiler_mod._word_blocks(basis, gens, np.ones(basis.dim))]
     assert visited == [slice(j, j + 1) for j in range(basis.dim - 1, -1, -1)]
 
 
@@ -966,10 +966,10 @@ def test_zero_coordinate_words_are_exactly_the_identity(monkeypatch, tree_bytes,
     assert (count == basis.dim) == (tree_bytes == 1)
     theta = _coords_with_zeros(basis, 48)
     eye = np.eye(basis.matrix_dim)
-    for elems, words in compiler_mod._word_blocks(basis, gens, theta):
+    for elems, words, _ in compiler_mod._word_blocks(basis, gens, theta):
         for j, word in zip(range(basis.dim)[elems], words):
             assert np.array_equal(word, eye) == (theta[j] == 0.0)
-    for elems, words in compiler_mod._word_blocks(basis, gens, np.zeros(basis.dim)):
+    for elems, words, _ in compiler_mod._word_blocks(basis, gens, np.zeros(basis.dim)):
         assert all(np.array_equal(word, eye) for word in words)
 
 
@@ -1002,20 +1002,87 @@ def test_jacobian_matches_a_difference_of_slice_products(label, n, l):
 
 @pytest.mark.parametrize("label, n, l", [("torus_two_local", 2, 3), ("clifford_two_local", 3, 2)])
 def test_product_alone_forms_no_jacobian(monkeypatch, label, n, l):
-    # without the Jacobian one tree evaluation is made, not the shifted one too
+    # one walk either way; without the Jacobian a group-commutator set
+    # evaluates its trees once, not at the shifted point too, and with it
+    # twice; exact words have no tree
     gens, basis = _closed(label, n, l)
     coords = _coords_with_zeros(basis, 49)
-    calls = []
-    orig = compiler_mod._word_blocks
+    calls = {"_word_blocks": 0, "_node_angles": 0}
+    for name in calls:
+        def counting(*args, _name=name, _orig=getattr(compiler_mod, name)):
+            calls[_name] += 1
+            return _orig(*args)
 
-    def counting(*args):
-        calls.append(1)
-        return orig(*args)
-
-    monkeypatch.setattr(compiler_mod, "_word_blocks", counting)
+        monkeypatch.setattr(compiler_mod, name, counting)
+    trees = 1 if l > 2 else 0
     unit, jac = _linearise(coords, basis, 2, gens, jacobian=False)
-    assert jac is None and len(calls) == 1
+    assert jac is None and calls == {"_word_blocks": 1, "_node_angles": trees}
+    calls.update(_word_blocks=0, _node_angles=0)
     assert np.array_equal(unit, _linearise(coords, basis, 2, gens)[0])
+    assert calls == {"_word_blocks": 1, "_node_angles": 2 * trees}
+
+
+def _two_walk_reference(coords, basis, slices, gens):
+    """W and the Jacobian of _linearise from two product walks, at theta and theta + _DIFF_STEP."""
+    theta = compiler_mod._realised(coords, slices)
+    shifted = theta + compiler_mod._DIFF_STEP
+    jac = np.empty((basis.dim, basis.dim))
+    suffix = np.eye(basis.matrix_dim, dtype=complex)
+    for (elems, words, _), (_, moved, _) in zip(compiler_mod._word_blocks(basis, gens, theta),
+                                                compiler_mod._word_blocks(basis, gens, shifted)):
+        diff = words.conj().transpose(0, 2, 1) @ (moved - words)
+        diff /= (shifted - theta)[elems, None, None]
+        after = np.empty_like(words)
+        for k in range(len(words) - 1, -1, -1):
+            after[k] = suffix
+            suffix = words[k] @ suffix
+        jac[:, elems] = basis.coords(after.conj().transpose(0, 2, 1) @ diff @ after)
+    return suffix, jac / slices
+
+
+@pytest.mark.parametrize("tree_bytes", [compiler_mod._TREE_BYTES, 1], ids=["blocks", "one_each"])
+@pytest.mark.parametrize("label, n, l", [("torus_two_local", 2, 3), ("torus_splits", 2, 3)])
+def test_jacobian_walk_matches_two_walk_reference(monkeypatch, tree_bytes, label, n, l):
+    # the shifted words formed inside the walk are those of a walk of their
+    # own, bit for bit; one_each has blocks whose theta are all 0
+    gens, basis = _closed(label, n, l)
+    count = _install_budget(monkeypatch, basis, tree_bytes)
+    assert (count == basis.dim) == (tree_bytes == 1)
+    coords = _coords_with_zeros(basis, 50)
+    unit, jac = compiler_mod._linearise(coords, basis, 2, gens)
+    want_unit, want_jac = _two_walk_reference(coords, basis, 2, gens)
+    assert np.array_equal(unit, want_unit)
+    assert np.array_equal(jac, want_jac)
+
+
+@pytest.mark.parametrize("label, n, l", [("torus_two_local", 2, 3), ("torus_splits", 2, 3)])
+def test_jacobian_walk_holds_one_node_stack(monkeypatch, label, n, l):
+    # one element per block.  The shifted point reuses the walk's one node
+    # stack, so a Jacobian walk peaks above a product walk by less than a
+    # stack of the largest block (its shifted node angles, one element's
+    # word at each point and difference).  It peaks at about three such
+    # stacks (one stack, the products of a tree height, both points' node
+    # angles), under a quarter of the stacks of all blocks, 40 or more
+    import tracemalloc
+
+    gens, basis = _closed(label, n, l)
+    assert _install_budget(monkeypatch, basis, 1) == basis.dim
+    nodes = [b.nodes for b in compiler_mod._templates(basis).blocks]
+    node = 16 * basis.matrix_dim**2
+    theta = _coords_with_zeros(basis, 51)
+    peaks = []
+    for derivative in (False, True):
+        list(compiler_mod._word_blocks(basis, gens, theta, derivative))   # the cached tables
+        tracemalloc.start()
+        try:
+            for _ in compiler_mod._word_blocks(basis, gens, theta, derivative):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    product, jacobian = peaks
+    assert jacobian - product < max(nodes) * node
+    assert jacobian < sum(nodes) * node / 4
 
 
 def test_residual_logarithm_matches_the_principal_one():

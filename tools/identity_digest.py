@@ -8,13 +8,19 @@ mean equal bytes:
     diff before.txt after.txt
 
 --src names the tree whose `liegates` package is imported (default: the
-`src/` beside this script).  The last records, one per `cli compile`
-record, digest that run's JSON report (or sweep rows) without its
-gate_count, so a change that only rewrites words moves the `cli compile`
-records and leaves the `report` ones equal; they come last so the other
-records keep their line numbers.  Pin the BLAS thread count: sums split over
+`src/` beside this script).  Pin the BLAS thread count: sums split over
 threads round differently, so a seeded compile differs at rounding between
 one thread and two.
+
+Two kinds of record were added after the others, and are printed after
+them, so every earlier record keeps its line number:
+
+* `report`, one per `cli compile` record: that run's JSON report (or
+  sweep rows) without its gate_count, so a change that only rewrites
+  words moves the `cli compile` records and leaves the `report` ones equal;
+* `scalars`, last, one per Pauli closure record (a basis with
+  LieBasis.scalars): the raw bytes of its stored string scalars, so a
+  change that moves only those, say the sign of a zero part, shows.
 
 A closure record hashes the basis's tri; where tri is None (a Pauli basis,
 whose frame is the basis) it hashes the bytes of the identity np.eye(dim),
@@ -133,8 +139,12 @@ def main() -> None:
 
     rows = [(r["family"], r["n"], r["l"]) for r in dimension_table(max_n=3)]
     cases = [(case, tol) for case in rows + EXTRA for tol in TOLS] + [(c, None) for c in SLOW]
+    scalars = []
     for (label, n, l), tol in cases:
-        print("closure", label, n, l, tol, closure_digest(closure(build_family(label, n, l), tol)))
+        basis = closure(build_family(label, n, l), tol)
+        print("closure", label, n, l, tol, closure_digest(basis))
+        if basis.scalars is not None:
+            scalars.append(("scalars", label, n, l, tol, digest(raw(basis.scalars))))
 
     rng = np.random.default_rng(7)
     for label, n, l in MEMBER_BASES:
@@ -164,6 +174,8 @@ def main() -> None:
               digest(*(part.tobytes() for part in getattr(linalg, solver)(m))))
     for argv, stdout in compiled:
         print("report", *argv, report_digest(stdout))
+    for record in scalars:
+        print(*record)
 
 
 if __name__ == "__main__":
